@@ -1,5 +1,8 @@
 #include "crypto/cipher.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/rng.hpp"
 
 namespace psf::crypto {
@@ -24,6 +27,26 @@ std::uint64_t hash_string(const std::string& s) {
   return h;
 }
 
+// The keystream and MAC work on 64-bit words read and written little-endian,
+// so their output is the same on every host, byte for byte.
+std::uint64_t load_le(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, sizeof w);
+  } else {
+    for (int i = 7; i >= 0; --i) w = (w << 8) | p[i];
+  }
+  return w;
+}
+
+void store_le(std::uint8_t* p, std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &w, sizeof w);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(w >> (8 * i));
+  }
+}
+
 }  // namespace
 
 SymmetricKey derive_key(std::uint64_t master_secret,
@@ -40,20 +63,38 @@ std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::span<const std::uint8_t> data) {
   std::vector<std::uint8_t> out(data.size());
   util::SplitMix64 stream(mix(key.k0 ^ nonce) ^ key.k1);
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (i % 8 == 0) word = stream.next();
-    out[i] = data[i] ^ static_cast<std::uint8_t>(word >> ((i % 8) * 8));
+  // Byte i is XORed with byte (i % 8) of the (i / 8)-th keystream word.
+  const std::size_t full = data.size() - data.size() % 8;
+  for (std::size_t i = 0; i < full; i += 8) {
+    store_le(out.data() + i, load_le(data.data() + i) ^ stream.next());
+  }
+  if (const std::size_t rest = data.size() - full; rest > 0) {
+    std::uint8_t tail[8] = {};
+    std::memcpy(tail, data.data() + full, rest);
+    store_le(tail, load_le(tail) ^ stream.next());
+    std::memcpy(out.data() + full, tail, rest);
   }
   return out;
 }
 
 std::uint64_t compute_mac(const SymmetricKey& key,
                           std::span<const std::uint8_t> data) {
-  std::uint64_t h = key.k1 ^ 0xA0761D6478BD642FULL;
-  for (std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001B3ULL;
+  // Keyed word chain h = (h ^ w) * odd over little-endian words, the last one
+  // zero-padded. Each step is a bijection of h and injective in w, so a
+  // change confined to one word always changes the tag; the length folded
+  // into the initial state tells a message from itself plus trailing zeros.
+  constexpr std::uint64_t kOdd = 0xFF51AFD7ED558CCDULL;
+  std::uint64_t h = key.k1 ^ 0xA0761D6478BD642FULL ^
+                    (static_cast<std::uint64_t>(data.size()) *
+                     0x9E3779B97F4A7C15ULL);
+  const std::size_t full = data.size() - data.size() % 8;
+  for (std::size_t i = 0; i < full; i += 8) {
+    h = (h ^ load_le(data.data() + i)) * kOdd;
+  }
+  if (const std::size_t rest = data.size() - full; rest > 0) {
+    std::uint8_t tail[8] = {};
+    std::memcpy(tail, data.data() + full, rest);
+    h = (h ^ load_le(tail)) * kOdd;
   }
   return mix(h ^ key.k0);
 }

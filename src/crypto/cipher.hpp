@@ -34,7 +34,8 @@ std::vector<std::uint8_t> apply_keystream(const SymmetricKey& key,
                                           std::uint64_t nonce,
                                           std::span<const std::uint8_t> data);
 
-// Keyed 64-bit tag over the ciphertext (toy integrity check).
+// Keyed 64-bit tag over the ciphertext (toy integrity check): a multiply
+// chain over 8-byte little-endian words, seeded with the key and the length.
 std::uint64_t compute_mac(const SymmetricKey& key,
                           std::span<const std::uint8_t> data);
 

@@ -15,9 +15,13 @@ std::vector<std::uint8_t> tunnel_image(std::uint64_t bytes,
   // allocations in tight simulation loops.
   const std::size_t materialized =
       static_cast<std::size_t>(std::min<std::uint64_t>(bytes, 4096));
+  // Byte i is (nonce + 131 * i) & 0xFF: step by 131 modulo 256 instead of
+  // multiplying per byte.
   std::vector<std::uint8_t> image(materialized);
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    image[i] = static_cast<std::uint8_t>((nonce + i * 131) & 0xFF);
+  auto b = static_cast<std::uint8_t>(nonce);
+  for (std::uint8_t& out : image) {
+    out = b;
+    b = static_cast<std::uint8_t>(b + 131);
   }
   return image;
 }

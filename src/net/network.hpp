@@ -134,6 +134,8 @@ class Network {
   // by hop count then link id for determinism. Empty route if from == to;
   // nullopt if disconnected. Down links and down intermediate nodes are
   // skipped; a down endpoint makes every pair involving it unreachable.
+  // This is the §3.3 validator's one-off path and the tests' reference for
+  // the cached rows below; runtime hops read cached_route() instead.
   std::optional<Route> route(NodeId from, NodeId to) const;
 
   // Fault-state mutators. Every one of these (and the property setters
@@ -153,13 +155,14 @@ class Network {
   void invalidate_routes() { invalidate_cache(); }
 
   // All-pairs convenience built on a row-granular lazy cache; used by the
-  // planner's environment view. The first query from a given source runs one
-  // full Dijkstra and materializes that source's whole row; later queries
-  // from the same source are pure reads. Materialization is thread-safe
-  // (atomic row publication behind a mutex), so the parallel planner's
-  // refinement workers can fault rows in concurrently without precomputing
-  // the full O(V^2) table. Returned pointers stay valid until the next
-  // mutation (every mutator invalidates the cache).
+  // planner's environment view and by SmockRuntime's hops. The first query
+  // from a given source runs one full Dijkstra and materializes that
+  // source's whole row; later queries from the same source are pure reads.
+  // Materialization is thread-safe (atomic row publication behind a mutex),
+  // so the parallel planner's refinement workers can fault rows in
+  // concurrently without precomputing the full O(V^2) table. Returned
+  // pointers stay valid until the next mutation (every mutator invalidates
+  // the cache).
   const Route* cached_route(NodeId from, NodeId to) const;
 
   // Eagerly materializes every row (O(V) Dijkstras, O(V^2) entries). Only

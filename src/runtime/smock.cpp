@@ -502,8 +502,11 @@ void SmockRuntime::send_bytes(net::NodeId from, net::NodeId to,
     delivered();
     return;
   }
-  auto route = network_.route(from, to);
-  if (!route) {
+  // The lazy route row is shared until the next network mutation, which
+  // drops it, so the transfer copies the links it walks. Between distinct
+  // endpoints an empty row entry means unreachable, down endpoints included.
+  const net::Route* route = network_.cached_route(from, to);
+  if (route->links.empty()) {
     PSF_WARN() << "send_bytes: no route from " << network_.node(from).name
                << " to " << network_.node(to).name << "; dropping";
     ++stats_.messages_unroutable;

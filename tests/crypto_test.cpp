@@ -2,8 +2,13 @@
 // keystore release-ledger semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "crypto/cipher.hpp"
 #include "crypto/keystore.hpp"
+#include "util/rng.hpp"
 
 namespace psf::crypto {
 namespace {
@@ -73,6 +78,97 @@ TEST(CipherTest, KeystreamIsItsOwnInverse) {
   const auto p = bytes("involution");
   const auto c = apply_keystream(key, 11, p);
   EXPECT_EQ(apply_keystream(key, 11, c), p);
+}
+
+// The byte-at-a-time keystream the word-at-a-time one must reproduce: byte i
+// is XORed with byte (i % 8) of the (i / 8)-th SplitMix64 word, whatever the
+// host's byte order or the span's alignment.
+std::vector<std::uint8_t> reference_keystream(
+    const SymmetricKey& key, std::uint64_t nonce,
+    std::span<const std::uint8_t> data) {
+  auto mix = [](std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    x ^= x >> 33;
+    return x;
+  };
+  std::vector<std::uint8_t> out(data.size());
+  util::SplitMix64 stream(mix(key.k0 ^ nonce) ^ key.k1);
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (i % 8 == 0) word = stream.next();
+    out[i] = data[i] ^ static_cast<std::uint8_t>(word >> ((i % 8) * 8));
+  }
+  return out;
+}
+
+TEST(CipherTest, KeystreamMatchesByteAtATimeReference) {
+  const SymmetricKey key = derive_key(77, "oracle");
+  util::Rng rng(2024);
+  std::vector<std::uint8_t> buffer(2048 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
+
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 33; ++len) lengths.push_back(len);
+  lengths.push_back(2048);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len : lengths) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, len);
+      const std::uint64_t nonce = 1000 + len;
+      EXPECT_EQ(apply_keystream(key, nonce, data),
+                reference_keystream(key, nonce, data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// Every tamper below must fail the MAC and leave `out` empty.
+void expect_rejected(const SymmetricKey& key, const SealedBlob& blob,
+                     const char* what) {
+  std::vector<std::uint8_t> out{0xAA};
+  EXPECT_FALSE(unseal(key, blob, out)) << what;
+  EXPECT_TRUE(out.empty()) << what;
+}
+
+TEST(CipherTest, MacDetectsWordLevelTampering) {
+  const SymmetricKey key = derive_key(31, "tamper");
+  std::vector<std::uint8_t> plaintext(29);  // three words plus 5 tail bytes
+  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const SealedBlob sealed = seal(key, 5, plaintext);
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(unseal(key, sealed, out));
+
+  for (std::size_t at = 24; at < sealed.ciphertext.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SealedBlob blob = sealed;
+      blob.ciphertext[at] ^= static_cast<std::uint8_t>(1u << bit);
+      expect_rejected(key, blob, "bit flip in the padded last word");
+    }
+  }
+
+  SealedBlob appended = sealed;
+  appended.ciphertext.push_back(0x00);
+  expect_rejected(key, appended, "one appended zero byte");
+
+  // A whole-word message plus one zero starts a new, all-zero padded word.
+  const SealedBlob aligned = seal(key, 6, std::vector<std::uint8_t>(16, 3));
+  SealedBlob aligned_appended = aligned;
+  aligned_appended.ciphertext.push_back(0x00);
+  expect_rejected(key, aligned_appended, "zero byte after a full word");
+
+  SealedBlob truncated = sealed;
+  truncated.ciphertext.pop_back();
+  expect_rejected(key, truncated, "truncated by one byte");
+
+  SealedBlob swapped = sealed;
+  std::swap_ranges(swapped.ciphertext.begin(), swapped.ciphertext.begin() + 8,
+                   swapped.ciphertext.begin() + 8);
+  ASSERT_NE(swapped.ciphertext, sealed.ciphertext);
+  expect_rejected(key, swapped, "two 8-byte words swapped");
 }
 
 TEST(CipherTest, WireSizeIncludesOverhead) {

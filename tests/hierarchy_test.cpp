@@ -526,19 +526,62 @@ TEST(LazyRouteRowTest, RowsMaterializePerSourceOnDemand) {
   EXPECT_EQ(network.route_rows_materialized(), 1u);
 }
 
-TEST(LazyRouteRowTest, CachedRowsMatchDirectRouting) {
-  net::Network network = waxman(24, 9);
+// Every cached route equals route()'s, link by link; between distinct
+// endpoints route() is nullopt exactly when the cached links are empty (the
+// contract SmockRuntime::send_bytes relies on). Returns the unreachable
+// pairs seen.
+std::size_t expect_rows_match_direct_routing(const net::Network& network) {
+  std::size_t unreachable = 0;
   for (net::NodeId from : network.all_nodes()) {
     for (net::NodeId to : network.all_nodes()) {
       const net::Route* cached = network.cached_route(from, to);
-      ASSERT_NE(cached, nullptr);
+      if (from == to) {
+        EXPECT_TRUE(cached->local()) << from.value;
+        continue;
+      }
       const std::optional<net::Route> direct = network.route(from, to);
-      ASSERT_TRUE(direct.has_value());
+      EXPECT_EQ(direct.has_value(), !cached->links.empty())
+          << from.value << "->" << to.value;
+      if (!direct) {
+        ++unreachable;
+        continue;
+      }
       EXPECT_EQ(cached->total_latency.nanos(), direct->total_latency.nanos())
           << from.value << "->" << to.value;
-      EXPECT_EQ(cached->links.size(), direct->links.size());
+      EXPECT_EQ(cached->links, direct->links) << from.value << "->" << to.value;
+      EXPECT_EQ(cached->bottleneck_bandwidth_bps,
+                direct->bottleneck_bandwidth_bps)
+          << from.value << "->" << to.value;
     }
   }
+  return unreachable;
+}
+
+TEST(LazyRouteRowTest, CachedRowsMatchDirectRouting) {
+  net::Network network = waxman(24, 9);
+  EXPECT_EQ(expect_rows_match_direct_routing(network), 0u);
+}
+
+TEST(LazyRouteRowTest, CachedRowsMatchDirectRoutingWithDownNode) {
+  net::Network network = waxman(24, 9);
+  network.precompute_routes();
+  network.set_node_up(net::NodeId{7}, false);
+  // Every pair with the down node as an endpoint, at least.
+  EXPECT_GE(expect_rows_match_direct_routing(network),
+            2 * (network.node_count() - 1));
+}
+
+TEST(LazyRouteRowTest, CachedRowsMatchDirectRoutingWithDownLinks) {
+  net::Network network = waxman(24, 9);
+  network.precompute_routes();
+  // One down link reroutes; cutting every link of node 5 isolates it.
+  network.set_link_up(net::LinkId{0}, false);
+  expect_rows_match_direct_routing(network);
+  for (net::LinkId lid : network.links_of(net::NodeId{5})) {
+    network.set_link_up(lid, false);
+  }
+  EXPECT_GE(expect_rows_match_direct_routing(network),
+            2 * (network.node_count() - 1));
 }
 
 TEST(LazyRouteRowTest, ConcurrentReadersAreSafe) {

@@ -2,6 +2,8 @@
 // caching and trust enforcement, client view restrictions, tunnel integrity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mail/client.hpp"
 #include "mail/crypto_components.hpp"
 #include "mail/mail_spec.hpp"
@@ -300,6 +302,20 @@ TEST_F(MailFixture, DecryptorRejectsPlainTraffic) {
   auto r = invoke(home, decryptor, send_request("alice", "bob", 0));
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("sealed tunnel traffic"), std::string::npos);
+}
+
+TEST(TunnelImageTest, MatchesPerByteFormula) {
+  for (std::uint64_t nonce : {0ULL, 1ULL, 255ULL, 0x123456789ABCDEFULL}) {
+    for (std::uint64_t bytes : {0ULL, 1ULL, 255ULL, 256ULL, 257ULL, 4096ULL,
+                                10000ULL}) {
+      const auto image = tunnel_image(bytes, nonce);
+      ASSERT_EQ(image.size(), std::min<std::uint64_t>(bytes, 4096));
+      for (std::size_t i = 0; i < image.size(); ++i) {
+        ASSERT_EQ(image[i], static_cast<std::uint8_t>((nonce + i * 131) & 0xFF))
+            << "nonce " << nonce << " byte " << i;
+      }
+    }
+  }
 }
 
 TEST_F(MailFixture, TunnelDetectsTamperedEnvelope) {

@@ -6,7 +6,8 @@
 //  - Planner determinism: same inputs -> byte-identical plan.
 //  - plan_many ≡ sequential plan.
 //  - Simulator: event ordering invariants under random schedules.
-//  - Crypto: seal/unseal round-trips and tamper detection over random data.
+//  - Crypto: seal/unseal round-trips and tamper detection (bit flips,
+//    appended zeros, truncation) over random data.
 #include <gtest/gtest.h>
 
 #include "crypto/cipher.hpp"
@@ -226,7 +227,17 @@ TEST_P(CryptoRoundTrip, SealUnsealIdentityAndTamperDetection) {
     ASSERT_TRUE(crypto::unseal(key, blob, out));
     EXPECT_EQ(out, data);
 
+    // Length changes must be detected: one appended zero byte, or one byte
+    // cut off.
+    crypto::SealedBlob longer = blob;
+    longer.ciphertext.push_back(0x00);
+    EXPECT_FALSE(crypto::unseal(key, longer, out)) << "appended zero, " << len;
+
     if (!blob.ciphertext.empty()) {
+      crypto::SealedBlob shorter = blob;
+      shorter.ciphertext.pop_back();
+      EXPECT_FALSE(crypto::unseal(key, shorter, out)) << "truncated, " << len;
+
       // Flip one random bit: must be detected.
       const std::size_t at = rng.uniform_u64(0, blob.ciphertext.size() - 1);
       blob.ciphertext[at] ^= static_cast<std::uint8_t>(

@@ -2,6 +2,8 @@
 // code download, wiring, request routing, lookup service.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "runtime/lookup.hpp"
 #include "runtime/smock.hpp"
 #include "spec/builder.hpp"
@@ -120,6 +122,52 @@ TEST_F(RuntimeFixture, LinkContentionSerializesTransfers) {
   EXPECT_NEAR(arrivals[0], 1.1, 1e-9);
   EXPECT_NEAR(arrivals[1], 2.1, 1e-9);
   EXPECT_NEAR(arrivals[2], 3.1, 1e-9);
+}
+
+// send_bytes reads the network's cached route rows, so every mutation must
+// reach the next send: a latency change reroutes it, a down link makes it
+// unroutable, a healed link carries it again.
+TEST_F(RuntimeFixture, SendBytesSeesRouteChangesAfterCaching) {
+  // A detour a-c-b, 10 ms per hop, beside the 100 ms direct link.
+  const net::NodeId c = network.add_node("c", 1e6);
+  const net::LinkId ac =
+      network.add_link(a, c, 8e6, sim::Duration::from_millis(10));
+  const net::LinkId cb =
+      network.add_link(c, b, 8e6, sim::Duration::from_millis(10));
+  // 1 KB over 8 Mb/s = 1 ms per hop plus the hop latencies.
+  auto send_and_time = [&] {
+    const sim::Time sent = sim.now();
+    double elapsed = -1.0;
+    runtime.send_bytes(
+        a, b, 1000, [&] { elapsed = (sim.now() - sent).seconds(); },
+        [](TransportError) { ADD_FAILURE() << "unexpected drop"; });
+    sim.run();
+    return elapsed;
+  };
+  EXPECT_NEAR(send_and_time(), 0.022, 1e-9);  // detour
+
+  // A 500 ms first hop makes the direct link the shorter route.
+  network.set_link_latency(ac, sim::Duration::from_millis(500));
+  EXPECT_NEAR(send_and_time(), 0.101, 1e-9);
+
+  // Down the detour, then the only link left.
+  network.set_link_up(cb, false);
+  network.set_link_up(link, false);
+  std::optional<TransportError> error;
+  bool delivered = false;
+  runtime.send_bytes(
+      a, b, 1000, [&] { delivered = true; },
+      [&](TransportError e) { error = e; });
+  sim.run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(error, TransportError::kUnreachable);
+  EXPECT_EQ(runtime.stats().messages_unroutable, 1u);
+  EXPECT_EQ(runtime.stats().messages_sent, 2u);
+
+  network.set_link_up(link, true);
+  EXPECT_NEAR(send_and_time(), 0.101, 1e-9);
+  EXPECT_EQ(runtime.stats().messages_unroutable, 1u);
+  EXPECT_EQ(runtime.stats().messages_sent, 3u);
 }
 
 TEST_F(RuntimeFixture, CpuChargesQueueFifo) {

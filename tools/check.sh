@@ -28,6 +28,11 @@
 #                             # planner + the planner_scaling bench smoke
 #                             # gates + a TSan run of the parallel search
 #                             # and hierarchical refinement paths)
+#   tools/check.sh --perf     # only: build perfbench in its own tree
+#                             # (build-perf/) and run both benchmark
+#                             # workloads for seeds 1-3 at 5 s; fails unless
+#                             # every run is correct and prints the
+#                             # fingerprint perfbench/README.md lists
 #   tools/check.sh --tidy     # also: clang-tidy (see .clang-tidy) over the
 #                             # analysis layer and tools; skipped with a
 #                             # notice when clang-tidy is not installed
@@ -37,7 +42,7 @@
 # psflint gate over in-tree PSDL specs.
 #
 # Run from the repo root. Build trees: build/ (standard), build-tsan/,
-# build-asan/.
+# build-asan/, build-perf/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,6 +65,7 @@ CHAOS_ONLY=0
 ADAPT_ONLY=0
 MEGASCALE_ONLY=0
 PLANNER_ONLY=0
+PERF_ONLY=0
 for arg in "$@"; do
   case "${arg}" in
     --no-tsan) RUN_TSAN=0 ;;
@@ -73,6 +79,7 @@ for arg in "$@"; do
     --adapt) ADAPT_ONLY=1 ;;
     --megascale) MEGASCALE_ONLY=1 ;;
     --planner) PLANNER_ONLY=1 ;;
+    --perf) PERF_ONLY=1 ;;
     *) echo "unknown option: ${arg}" >&2; exit 2 ;;
   esac
 done
@@ -145,6 +152,14 @@ if [[ "${PLANNER_ONLY}" == 1 ]]; then
   ./build-tsan/tests/planner_parallel_test
   ./build-tsan/tests/hierarchy_test
   echo "== planner suite passed =="
+  exit 0
+fi
+
+if [[ "${PERF_ONLY}" == 1 ]]; then
+  echo "== perfbench: correctness gate + simulated-output fingerprints =="
+  CARGO_TARGET_DIR="${PWD}/build-perf" \
+    python3 tools/perf_fingerprints.py --seeds 1 2 3
+  echo "== perfbench fingerprints match =="
   exit 0
 fi
 
