@@ -2,7 +2,7 @@
 // discipline rules over a CxxScan, one function per DET catalog family.
 //
 // The checks mirror the repo's actual reproducibility contract (seeded
-// chaos replay, region-parallel DES merge, hierarchical planner reduction
+// chaos replay, simulated figure outputs, hierarchical planner reduction
 // are all gated on bit-identical outputs):
 //
 //   DET001..DET004  nondeterminism sources — entropy, hidden RNG state,

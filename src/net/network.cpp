@@ -309,10 +309,6 @@ std::vector<Route> Network::compute_route_row(NodeId from) const {
   return row;
 }
 
-void Network::precompute_routes() const {
-  for (const Node& from : nodes_) route_row(from.id);
-}
-
 void Network::set_node_up(NodeId id, bool up) {
   Node& n = node(id);
   if (n.up == up) return;

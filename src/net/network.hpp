@@ -139,8 +139,8 @@ class Network {
   std::optional<Route> route(NodeId from, NodeId to) const;
 
   // Fault-state mutators. Every one of these (and the property setters
-  // below) invalidates the route cache, so pointers from cached_route() /
-  // precompute_routes() must not be held across a call.
+  // below) invalidates the route cache, so pointers from cached_route()
+  // must not be held across a call.
   void set_node_up(NodeId id, bool up);
   void set_link_up(LinkId id, bool up);
   void set_link_loss(LinkId id, double loss);  // drop probability in [0, 1]
@@ -164,11 +164,6 @@ class Network {
   // pointers stay valid until the next mutation (every mutator invalidates
   // the cache).
   const Route* cached_route(NodeId from, NodeId to) const;
-
-  // Eagerly materializes every row (O(V) Dijkstras, O(V^2) entries). Only
-  // worth it when most pairs will actually be queried — e.g. the megascale
-  // engine; the hierarchical planner relies on lazy rows instead.
-  void precompute_routes() const;
 
   // Rows materialized since the last mutation — observability for the lazy
   // cache (a 1000-node plan should touch far fewer than 1000 rows... unless

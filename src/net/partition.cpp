@@ -102,12 +102,9 @@ GraphPartition partition_graph(const Network& network, std::size_t num_parts) {
   // Cut statistics. Fault state deliberately ignored (see header).
   for (LinkId lid : network.all_links()) {
     const Link& l = network.link(lid);
-    if (part.part_of_node[l.a.value] == part.part_of_node[l.b.value]) {
-      continue;
+    if (part.part_of_node[l.a.value] != part.part_of_node[l.b.value]) {
+      ++part.cut_links;
     }
-    ++part.cut_links;
-    part.min_cut_latency_ns =
-        std::min(part.min_cut_latency_ns, l.latency.nanos());
   }
   return part;
 }

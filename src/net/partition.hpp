@@ -1,10 +1,8 @@
 // Shared graph-partitioning utility over net::Network.
 //
-// One deterministic algorithm, two consumers:
-//  - the region-parallel simulation engine (sim::partition_network wraps
-//    this and derives its conservative lookahead);
-//  - the hierarchical planner (planner::ClusterIndex builds capacity-bounded
-//    clusters, border nodes, and a quotient graph on top of it).
+// One deterministic algorithm, used by the hierarchical planner:
+// planner::ClusterIndex builds capacity-bounded clusters, border nodes, and
+// a quotient graph on top of it.
 //
 // The algorithm is the parameter-server streaming idiom: stream nodes in
 // BFS order, assign each to the capacity-bounded part holding most of its
@@ -14,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "net/network.hpp"
@@ -27,12 +24,9 @@ struct GraphPartition {
   std::vector<PartId> part_of_node;  // indexed by NodeId::value
   std::size_t num_parts = 1;
   std::vector<std::size_t> part_sizes;  // node count per part
+  // Links whose endpoints fall in different parts. Fault state is ignored:
+  // a down link still counts.
   std::size_t cut_links = 0;
-  // Minimum latency over links whose endpoints fall in different parts;
-  // INT64_MAX when no link crosses parts. Fault state is ignored: a down
-  // link still contributes, which keeps min-based bounds admissible when it
-  // comes back up.
-  std::int64_t min_cut_latency_ns = std::numeric_limits<std::int64_t>::max();
 
   PartId part_of(NodeId n) const { return part_of_node[n.value]; }
 };

@@ -4,8 +4,7 @@ namespace psf::runtime {
 
 // Every mutator routes through the Network setters (not direct field
 // writes): those invalidate the all-pairs route cache, so pointers handed
-// out by precompute_routes()/cached_route() are never stale after a
-// monitor-reported change.
+// out by cached_route() are never stale after a monitor-reported change.
 
 void NetworkMonitor::set_link_bandwidth(net::LinkId link, double bps) {
   network_.set_link_bandwidth(link, bps);

@@ -16,7 +16,7 @@
 // anything over 16 bytes). Cancellation state is a watermarked flag window:
 // ids below the minimum outstanding id are dropped from the front, so
 // memory tracks the number of in-flight events, not the total ever
-// scheduled — a week-long megascale run stays flat.
+// scheduled. bench/sim_allocs gates the allocation claim.
 #pragma once
 
 #include <cstdint>

@@ -100,10 +100,9 @@ TEST(NetworkTest, CacheInvalidatedByMutation) {
 
 TEST(NetworkTest, CacheInvalidatedByPropertyMutation) {
   // Regression: set_link_latency / set_link_bandwidth must invalidate the
-  // precomputed route table, not just structural add_link. Before the fix a
+  // cached route rows, not just structural add_link. Before the fix a
   // cached route kept steering traffic over a degraded link.
   Network n = diamond();
-  n.precompute_routes();
   EXPECT_EQ(n.cached_route(NodeId{0}, NodeId{3})->total_latency.millis(),
             20.0);
   // Degrade the fast a-b edge so the c path (100 ms) wins.
@@ -118,7 +117,8 @@ TEST(NetworkTest, CacheInvalidatedByPropertyMutation) {
 
 TEST(NetworkTest, DownLinksAndNodesAreUnroutable) {
   Network n = diamond();
-  n.precompute_routes();
+  EXPECT_EQ(n.cached_route(NodeId{0}, NodeId{3})->total_latency.millis(),
+            20.0);
   // Kill the fast path; routing falls back to the c detour.
   n.set_link_up(LinkId{0}, false);
   EXPECT_EQ(n.cached_route(NodeId{0}, NodeId{3})->total_latency.millis(),
