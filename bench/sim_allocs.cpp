@@ -1,24 +1,34 @@
-// Serial event engine allocation gate (EXPERIMENTS.md E10).
+// Serial event engine and request path allocation gates (EXPERIMENTS.md
+// E10).
 //
-// Runs one event-chain microworkload (256 chains x 800 rounds) twice: on a
-// std::function baseline engine that replicates the seed simulator, and on
-// sim::Simulator with its util::SmallFn callbacks. Counts every heap
-// allocation in the process and reports allocator calls per event for both.
+// 1. Runs one event-chain microworkload (256 chains x 800 rounds) twice: on
+//    a std::function baseline engine that replicates the seed simulator,
+//    and on sim::Simulator with its util::SmallFn callbacks. Reports
+//    allocator calls per event for both.
+// 2. Runs 2-hop echo RPCs through SmockRuntime::invoke_from_node (request
+//    leg, CPU charge, handler, response leg) after a warm-up and reports
+//    allocator calls per RPC: the runtime's pooled call and transfer
+//    records should leave the steady-state path allocation-free.
 //
-// Writes BENCH_sim_allocs.json and exits 1 unless the Simulator makes at
-// least 10x fewer allocations per event than the baseline. Registered as a
-// tier-1 ctest; takes no arguments.
+// Counts every heap allocation in the process. Writes BENCH_sim_allocs.json
+// and exits 1 unless the Simulator makes at least 10x fewer allocations per
+// event than the baseline and an echo RPC makes at most 0.1 allocations.
+// Registered as a tier-1 ctest; takes no arguments.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <queue>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "net/network.hpp"
+#include "runtime/smock.hpp"
 #include "sim/simulator.hpp"
+#include "spec/builder.hpp"
 
 // ---- global allocation counter ---------------------------------------------
 // Counts every operator-new in the process so the event hot path's allocator
@@ -189,6 +199,69 @@ AllocMeasurement measure_allocs(std::size_t chains, std::size_t rounds) {
   return m;
 }
 
+// ---- request path: 2-hop echo RPCs through SmockRuntime ---------------------
+
+// Answers every request synchronously with a body-less 64-byte response, so
+// the only allocations left are the runtime's own.
+class EchoComponent : public psf::runtime::Component {
+ public:
+  void handle_request(const psf::runtime::Request& /*request*/,
+                      psf::runtime::ResponseCallback done) override {
+    psf::runtime::Response response;
+    response.wire_bytes = 64;
+    done(std::move(response));
+  }
+};
+
+double measure_rpc_allocs(std::size_t warmup, std::size_t rpcs) {
+  using namespace psf;
+  sim::Simulator sim;
+  net::Network network;
+  const net::NodeId client = network.add_node("client", 1e6);
+  const net::NodeId router = network.add_node("router", 1e6);
+  const net::NodeId server = network.add_node("server", 1e6);
+  network.add_link(client, router, 100e6, sim::Duration::from_micros(200));
+  network.add_link(router, server, 100e6, sim::Duration::from_micros(200));
+  runtime::SmockRuntime rt(sim, network);
+  const spec::ServiceSpec spec = spec::SpecBuilder("Echo")
+                                     .interface("Api", {})
+                                     .component("Echo")
+                                     .implements("Api", {})
+                                     .cpu_per_request(10)
+                                     .done()
+                                     .build();
+  PSF_CHECK(rt.factories()
+                .register_type("Echo",
+                               [] { return std::make_unique<EchoComponent>(); })
+                .is_ok());
+  runtime::RuntimeInstanceId echo = 0;
+  rt.install(*spec.find_component("Echo"), server, {}, server,
+             [&echo](util::Expected<runtime::RuntimeInstanceId> id) {
+               PSF_CHECK(id.has_value());
+               echo = *id;
+             });
+  PSF_CHECK(rt.start(echo).is_ok());
+
+  std::size_t answered = 0;
+  const auto one_rpc = [&] {
+    runtime::Request request;
+    request.op = "echo";
+    request.wire_bytes = 256;
+    rt.invoke_from_node(client, echo, std::move(request),
+                        [&answered](runtime::Response response) {
+                          PSF_CHECK(response.ok);
+                          ++answered;
+                        });
+    sim.run();
+  };
+  for (std::size_t i = 0; i < warmup; ++i) one_rpc();
+  const std::uint64_t before = g_allocs.load();
+  for (std::size_t i = 0; i < rpcs; ++i) one_rpc();
+  const std::uint64_t allocs = g_allocs.load() - before;
+  PSF_CHECK(answered == warmup + rpcs);
+  return static_cast<double>(allocs) / static_cast<double>(rpcs);
+}
+
 }  // namespace
 
 int main() {
@@ -198,17 +271,30 @@ int main() {
               allocs.baseline_per_event, allocs.engine_per_event,
               allocs.reduction);
 
+  const double rpc_allocs =
+      measure_rpc_allocs(/*warmup=*/256, /*rpcs=*/10'000);
+  std::printf("sim_allocs: allocs per 2-hop echo RPC %.5f (gate <= 0.1)\n",
+              rpc_allocs);
+
   psf::bench::JsonResult json("sim_allocs");
   json.add("alloc_baseline_per_event", allocs.baseline_per_event);
   json.add("alloc_engine_per_event", allocs.engine_per_event);
   json.add("alloc_reduction", allocs.reduction);
   json.add("alloc_gate_passed", allocs.reduction >= 10.0);
+  json.add("rpc_allocs_per_call", rpc_allocs);
   json.write();
 
+  int status = 0;
   if (allocs.reduction < 10.0) {
     std::fprintf(stderr, "sim_allocs: alloc reduction %.1fx below 10x gate\n",
                  allocs.reduction);
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (rpc_allocs > 0.1) {
+    std::fprintf(stderr,
+                 "sim_allocs: %.3f allocs per echo RPC above the 0.1 gate\n",
+                 rpc_allocs);
+    status = 1;
+  }
+  return status;
 }

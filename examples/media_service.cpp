@@ -71,15 +71,16 @@ class DemoComponent : public runtime::Component {
     runtime::Request copy;
     copy.op = request.op;
     copy.wire_bytes = request.wire_bytes;
-    call("Stream", std::move(copy), [done](runtime::Response response) {
-      if (!response.ok) {
-        runtime::Response answer;
-        answer.wire_bytes = 16 * 1024;
-        done(std::move(answer));
-        return;
-      }
-      done(std::move(response));
-    });
+    call("Stream", std::move(copy),
+         [done = std::move(done)](runtime::Response response) {
+           if (!response.ok) {
+             runtime::Response answer;
+             answer.wire_bytes = 16 * 1024;
+             done(std::move(answer));
+             return;
+           }
+           done(std::move(response));
+         });
   }
 };
 

@@ -60,16 +60,17 @@ class DemoComponent : public runtime::Component {
     runtime::Request copy;
     copy.op = request.op;
     copy.wire_bytes = request.wire_bytes;
-    call("Api", std::move(copy), [done](runtime::Response response) {
-      if (!response.ok) {
-        // No downstream wire: we are the origin — answer.
-        runtime::Response answer;
-        answer.wire_bytes = 4096;
-        done(std::move(answer));
-        return;
-      }
-      done(std::move(response));
-    });
+    call("Api", std::move(copy),
+         [done = std::move(done)](runtime::Response response) {
+           if (!response.ok) {
+             // No downstream wire: we are the origin — answer.
+             runtime::Response answer;
+             answer.wire_bytes = 4096;
+             done(std::move(answer));
+             return;
+           }
+           done(std::move(response));
+         });
   }
 };
 

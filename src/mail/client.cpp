@@ -1,5 +1,7 @@
 #include "mail/client.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace psf::mail {
@@ -83,21 +85,27 @@ void MailClientComponent::handle_receive(const runtime::Request& request,
     return;
   }
   ++stats_.receives;
-  const std::string user = body->user;
 
   call("ServerInterface", request,
-       [this, user, done = std::move(done)](runtime::Response response) {
+       [this, done = std::move(done)](runtime::Response response) mutable {
          if (!response.ok) {
            done(std::move(response));
            return;
          }
          const auto* result = runtime::body_as<ReceiveResultBody>(response);
-         if (result == nullptr) {
+         if (result == nullptr ||
+             std::none_of(result->messages.begin(), result->messages.end(),
+                          [](const MailMessage& m) {
+                            return m.sealed.has_value();
+                          })) {
+           // Nothing to decrypt: the server's reply is already plaintext
+           // for the local user, so it goes back as is.
            done(std::move(response));
            return;
          }
          // Decrypt and verify every sealed message for the local user.
          auto plain = std::make_shared<ReceiveResultBody>();
+         plain->messages.reserve(result->messages.size());
          double crypto_units = 0.0;
          for (const MailMessage& m : result->messages) {
            MailMessage copy = m;

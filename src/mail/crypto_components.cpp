@@ -49,7 +49,8 @@ void EncryptorComponent::handle_request(const runtime::Request& request,
   charge_cpu(units, [this, key, sealed = std::move(sealed),
                      done = std::move(done)]() mutable {
     call("DecryptorInterface", std::move(sealed),
-         [this, key, done = std::move(done)](runtime::Response response) {
+         [this, key,
+          done = std::move(done)](runtime::Response response) mutable {
            // The return path arrives sealed; verify and unwrap it.
            const auto* reply = runtime::body_as<TunnelBody>(response);
            if (reply == nullptr) {
@@ -113,7 +114,8 @@ void DecryptorComponent::handle_request(const runtime::Request& request,
   charge_cpu(units, [this, key, plain = std::move(plain),
                      done = std::move(done)]() mutable {
     call("ServerInterface", std::move(plain),
-         [this, key, done = std::move(done)](runtime::Response response) {
+         [this, key,
+          done = std::move(done)](runtime::Response response) mutable {
            if (!response.ok) {
              // Failures (including transport errors from a dead upstream
              // wire) travel back plain; the encryptor forwards them verbatim.

@@ -243,7 +243,7 @@ void AdaptationController::maybe_repair(std::size_t index) {
           } else {
             ++stats_.failed;
           }
-          repairing_[index] = 0;
+          repair_settled(index);
           push_event(std::move(event));
           return;
         }
@@ -327,7 +327,7 @@ void AdaptationController::finish_cutover(std::size_t index,
     event.outcome = AdaptationEvent::Outcome::kFailed;
     event.detail += "; cutover: " + why;
     ++stats_.failed;
-    repairing_[index] = 0;
+    repair_settled(index);
     push_event(std::move(event));
   };
   if (!runtime_.exists(old_entry)) {
@@ -336,8 +336,18 @@ void AdaptationController::finish_cutover(std::size_t index,
   }
 
   // 1. Graft the new chain onto the client's live entry so the proxy
-  //    binding survives the reconfiguration unbroken.
-  for (const auto& [iface, target] : runtime_.instance(new_entry).wires) {
+  //    binding survives the reconfiguration unbroken. Coalesced repairs
+  //    hand several deployments the same template entry; the first cutover
+  //    retires it, so later ones graft from the wires it left behind.
+  const bool template_live = runtime_.exists(new_entry);
+  const auto retired = retired_template_wires_.find(new_entry);
+  if (!template_live && retired == retired_template_wires_.end()) {
+    fail("new entry instance vanished");
+    return;
+  }
+  const std::map<std::string, RuntimeInstanceId> wires =
+      template_live ? runtime_.instance(new_entry).wires : retired->second;
+  for (const auto& [iface, target] : wires) {
     if (auto st = runtime_.wire(old_entry, iface, target); !st.is_ok()) {
       fail(st.to_string());
       return;
@@ -345,11 +355,12 @@ void AdaptationController::finish_cutover(std::size_t index,
   }
 
   // 2. The freshly deployed entry was only a template; retire it now.
-  if (new_entry != old_entry) {
+  if (new_entry != old_entry && template_live) {
     if (auto st = runtime_.uninstall(new_entry); !st.is_ok()) {
       fail(st.to_string());
       return;
     }
+    retired_template_wires_.emplace(new_entry, wires);
   }
 
   // 3. Release the old plan's load reservations on reused instances.
@@ -409,7 +420,7 @@ void AdaptationController::finish_cutover(std::size_t index,
 
   event.outcome = AdaptationEvent::Outcome::kRepaired;
   ++stats_.repaired;
-  repairing_[index] = 0;
+  repair_settled(index);
   push_event(std::move(event));
 }
 
@@ -429,6 +440,16 @@ void AdaptationController::drain_node(net::NodeId node) {
     }
   }
   check_now();
+}
+
+void AdaptationController::repair_settled(std::size_t index) {
+  repairing_[index] = 0;
+  // With no repair in flight, no pending cutover can name a retired
+  // template any more.
+  if (std::none_of(repairing_.begin(), repairing_.end(),
+                   [](char r) { return r != 0; })) {
+    retired_template_wires_.clear();
+  }
 }
 
 void AdaptationController::push_event(AdaptationEvent event) {

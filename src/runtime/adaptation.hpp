@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -143,6 +144,8 @@ class AdaptationController {
   void cutover(std::size_t index, AccessOutcome fresh, AdaptationEvent event);
   void finish_cutover(std::size_t index, AccessOutcome fresh,
                       AdaptationEvent event);
+  // Clears tracked_[index]'s in-flight mark once its repair has an outcome.
+  void repair_settled(std::size_t index);
   void push_event(AdaptationEvent event);
 
   SmockRuntime& runtime_;
@@ -154,6 +157,11 @@ class AdaptationController {
   // tracked_[i].outcome.plan.placements.
   std::vector<std::vector<RuntimeInstanceId>> backing_;
   std::vector<char> repairing_;  // per-index: repair already in flight
+  // Wires of template entries already retired by a cutover, kept for the
+  // coalesced cutovers that share the same template; dropped whenever no
+  // repair is in flight.
+  std::map<RuntimeInstanceId, std::map<std::string, RuntimeInstanceId>>
+      retired_template_wires_;
   std::set<std::uint32_t> drained_;
   std::vector<AdaptationEvent> events_;
   AdaptationStats stats_;

@@ -76,7 +76,7 @@ class Component {
   void call(const std::string& iface, Request request, ResponseCallback done);
 
   // Charges `units` of CPU on this component's node, then continues.
-  void charge_cpu(double units, std::function<void()> then);
+  void charge_cpu(double units, util::SmallFn then);
 
   sim::Simulator& simulator();
   const spec::ComponentDef& definition() const;

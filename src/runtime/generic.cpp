@@ -818,7 +818,7 @@ const GenericServer::ServiceState* GenericServer::state_of(
 
 // ---- GenericProxy ----------------------------------------------------------
 
-void GenericProxy::bind(std::function<void(util::Status)> done) {
+void GenericProxy::bind(BindCallback done) {
   if (bound_) {
     done(util::Status::ok());
     return;

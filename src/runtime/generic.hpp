@@ -28,6 +28,7 @@
 #include "runtime/sharded_lookup.hpp"
 #include "runtime/smock.hpp"
 #include "util/rng.hpp"
+#include "util/small_fn.hpp"
 #include "util/status.hpp"
 
 namespace psf::runtime {
@@ -321,8 +322,9 @@ class GenericProxy {
   }
 
   // Performs lookup + proxy download + access request + deployment; idempotent
-  // once bound.
-  void bind(std::function<void(util::Status)> done);
+  // once bound. Binds issued while one is in flight wait for its result.
+  using BindCallback = util::SmallFunction<void(util::Status)>;
+  void bind(BindCallback done);
 
   // Invokes the service. Auto-binds on first use (the paper's transparent
   // generic→specific proxy replacement). With retries enabled (below),
@@ -376,7 +378,7 @@ class GenericProxy {
   bool bound_ = false;
   bool binding_ = false;
   AccessOutcome outcome_;
-  std::vector<std::function<void(util::Status)>> waiters_;
+  std::vector<BindCallback> waiters_;
   bool retry_ = false;
   RetryPolicy policy_;
   RetryTelemetry* telemetry_ = nullptr;

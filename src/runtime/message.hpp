@@ -3,12 +3,20 @@
 // Payloads are polymorphic (MessageBody) so application components exchange
 // typed data while the runtime only sees opaque bodies plus a wire size for
 // the network cost model — the C++ stand-in for Java serialization.
+//
+// ResponseCallback is a move-only util::SmallFunction: the runtime parks it
+// in a pooled call record while the request travels, so routing a call
+// allocates nothing for the callback itself. A closure that captures
+// another ResponseCallback exceeds the inline buffer and takes one heap
+// block; capture `done` by move (the lambda becomes `mutable`) and keep
+// other captures small.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+
+#include "util/small_fn.hpp"
 
 namespace psf::runtime {
 
@@ -68,7 +76,7 @@ struct Response {
   }
 };
 
-using ResponseCallback = std::function<void(Response)>;
+using ResponseCallback = util::SmallFunction<void(Response)>;
 
 template <typename T>
 const T* body_as(const Request& request) {

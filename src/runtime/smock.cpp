@@ -16,7 +16,7 @@ void Component::call(const std::string& iface, Request request,
   runtime_->call(self_, iface, std::move(request), std::move(done));
 }
 
-void Component::charge_cpu(double units, std::function<void()> then) {
+void Component::charge_cpu(double units, util::SmallFn then) {
   PSF_CHECK(runtime_ != nullptr);
   runtime_->charge_cpu(runtime_->instance(self_).node, units,
                        std::move(then));
@@ -349,152 +349,135 @@ void SmockRuntime::call(RuntimeInstanceId from, const std::string& iface,
   }
   ++src.stats.requests_forwarded;
   src.stats.bytes_sent += request.wire_bytes;
-  const RuntimeInstanceId target = wire_it->second;
-  const net::NodeId from_node = src.node;
-  const std::uint64_t bytes = request.wire_bytes;
-  // The callback is shared between the delivery and drop paths; exactly one
-  // of them fires.
-  auto shared_done = std::make_shared<ResponseCallback>(std::move(done));
-  send_bytes(
-      from_node, instance(target).node, bytes,
-      [this, target, request = std::move(request), from_node,
-       shared_done]() mutable {
-        deliver(target, std::move(request), from_node,
-                std::move(*shared_done));
-      },
-      [shared_done](TransportError kind) {
-        (*shared_done)(Response::transport_failure(
-            kind, std::string("request ") + transport_error_name(kind) +
-                      " in transit"));
-      });
-}
-
-void SmockRuntime::invoke_from_node(net::NodeId from, RuntimeInstanceId target,
-                                    Request request, ResponseCallback done) {
-  if (!exists(target)) {
-    done(Response::transport_failure(TransportError::kDeadTarget,
-                                     "target instance does not exist"));
-    return;
-  }
-  const std::uint64_t bytes = request.wire_bytes;
-  auto shared_done = std::make_shared<ResponseCallback>(std::move(done));
-  send_bytes(
-      from, instance(target).node, bytes,
-      [this, target, request = std::move(request), from,
-       shared_done]() mutable {
-        deliver(target, std::move(request), from, std::move(*shared_done));
-      },
-      [shared_done](TransportError kind) {
-        (*shared_done)(Response::transport_failure(
-            kind, std::string("request ") + transport_error_name(kind) +
-                      " in transit"));
-      });
+  invoke_from_node(src.node, wire_it->second, std::move(request),
+                   std::move(done));
 }
 
 void SmockRuntime::invoke_from_node(net::NodeId from, RuntimeInstanceId target,
                                     Request request, ResponseCallback done,
                                     sim::Duration timeout) {
-  if (timeout.nanos() <= 0) {
-    invoke_from_node(from, target, std::move(request), std::move(done));
+  Call* call = nullptr;
+  if (free_calls_.empty()) {
+    call_pool_.push_back(std::make_unique<Call>());
+    call = call_pool_.back().get();
+  } else {
+    call = free_calls_.back();
+    free_calls_.pop_back();
+  }
+  call->target = target;
+  call->reply_to = from;
+  call->request = std::move(request);
+  call->done = std::move(done);
+  if (timeout.nanos() > 0) {
+    // The deadline is armed before anything else is scheduled, so it wins
+    // ties against events the request itself schedules later.
+    call->has_timer = true;
+    call->timer = sim_.schedule(timeout, [this, call] {
+      if (call->settled) return;
+      ++stats_.invoke_timeouts;
+      settle(call, Response::transport_failure(TransportError::kTimeout,
+                                               "invocation deadline expired"));
+    });
+  }
+  if (!exists(target)) {
+    finish(call, Response::transport_failure(TransportError::kDeadTarget,
+                                             "target instance does not exist"));
     return;
   }
-  struct Pending {
-    bool settled = false;
-    sim::EventId timer = 0;
-    ResponseCallback done;
-  };
-  auto pending = std::make_shared<Pending>();
-  pending->done = std::move(done);
-  pending->timer = sim_.schedule(timeout, [this, pending] {
-    if (pending->settled) return;
-    pending->settled = true;
-    ++stats_.invoke_timeouts;
-    pending->done(Response::transport_failure(
-        TransportError::kTimeout, "invocation deadline expired"));
-  });
-  invoke_from_node(from, target, std::move(request),
-                   [this, pending](Response response) {
-                     if (pending->settled) return;  // timed out; discard
-                     pending->settled = true;
-                     sim_.cancel(pending->timer);
-                     pending->done(std::move(response));
-                   });
+  send_bytes(
+      from, instance(target).node, call->request.wire_bytes,
+      [this, call] { deliver(call); },
+      [this, call](TransportError kind) {
+        finish(call, Response::transport_failure(
+                         kind, std::string("request ") +
+                                   transport_error_name(kind) + " in transit"));
+      });
 }
 
-void SmockRuntime::deliver(RuntimeInstanceId target, Request request,
-                           net::NodeId reply_to, ResponseCallback done) {
-  if (!exists(target)) {
-    done(Response::transport_failure(TransportError::kDeadTarget,
-                                     "target instance vanished in flight"));
+void SmockRuntime::deliver(Call* call) {
+  if (!exists(call->target)) {
+    finish(call, Response::transport_failure(
+                     TransportError::kDeadTarget,
+                     "target instance vanished in flight"));
     return;
   }
-  Instance& dst = instance(target);
+  Instance& dst = instance(call->target);
   if (!dst.started) {
-    done(Response::transport_failure(
-        TransportError::kDeadTarget,
-        "instance '" + dst.def->name + "' not started"));
+    finish(call, Response::transport_failure(
+                     TransportError::kDeadTarget,
+                     "instance '" + dst.def->name + "' not started"));
     return;
   }
   ++stats_.requests_delivered;
   ++dst.stats.requests_handled;
-  dst.stats.bytes_received += request.wire_bytes;
+  dst.stats.bytes_received += call->request.wire_bytes;
+  call->target_node = dst.node;
+  charge_cpu(dst.node, dst.def->behaviors.cpu_per_request,
+             [this, call] { handle(call); });
+}
 
-  const net::NodeId target_node = dst.node;
-  charge_cpu(
-      target_node, dst.def->behaviors.cpu_per_request,
-      [this, target, request = std::move(request), reply_to, target_node,
-       done = std::move(done)]() mutable {
-        if (!exists(target)) {
-          done(Response::failure("target instance vanished in flight"));
-          return;
-        }
-        Instance& inst = instance(target);
-        inst.component->handle_request(
-            request,
-            [this, reply_to, target_node,
-             done = std::move(done)](Response response) mutable {
-              // Ship the response back to the caller's node. A dropped
-              // response fails the caller fast (the op may have executed —
-              // at-least-once semantics, see DESIGN.md §8).
-              const std::uint64_t bytes = response.wire_bytes;
-              auto shared_done =
-                  std::make_shared<ResponseCallback>(std::move(done));
-              send_bytes(
-                  target_node, reply_to, bytes,
-                  [response = std::move(response), shared_done]() mutable {
-                    (*shared_done)(std::move(response));
-                  },
-                  [shared_done](TransportError kind) {
-                    (*shared_done)(Response::transport_failure(
-                        kind, std::string("response ") +
-                                  transport_error_name(kind) +
-                                  " in transit"));
-                  });
-            });
+void SmockRuntime::handle(Call* call) {
+  if (!exists(call->target)) {
+    finish(call, Response::failure("target instance vanished in flight"));
+    return;
+  }
+  call->handling = true;
+  instance(call->target)
+      .component->handle_request(call->request, [this, call](Response r) {
+        send_reply(call, std::move(r));
       });
+  call->handling = false;
+  if (call->leg_done) release(call);
+}
+
+void SmockRuntime::send_reply(Call* call, Response response) {
+  PSF_CHECK_MSG(!call->replied, "a request was answered twice");
+  call->replied = true;
+  // Ship the response back to the caller's node. A dropped response fails
+  // the caller fast (the op may have executed — at-least-once semantics,
+  // see DESIGN.md §8).
+  const std::uint64_t bytes = response.wire_bytes;
+  call->response = std::move(response);
+  send_bytes(
+      call->target_node, call->reply_to, bytes,
+      [this, call] { finish(call, std::move(call->response)); },
+      [this, call](TransportError kind) {
+        finish(call, Response::transport_failure(
+                         kind, std::string("response ") +
+                                   transport_error_name(kind) + " in transit"));
+      });
+}
+
+void SmockRuntime::settle(Call* call, Response response) {
+  if (call->settled) return;  // timed out earlier; discard the late reply
+  call->settled = true;
+  if (call->has_timer) sim_.cancel(call->timer);
+  call->done(std::move(response));
+}
+
+void SmockRuntime::finish(Call* call, Response response) {
+  settle(call, std::move(response));
+  call->leg_done = true;
+  if (!call->handling) release(call);
+}
+
+void SmockRuntime::release(Call* call) {
+  call->request = Request();
+  call->done = nullptr;
+  call->response = Response();
+  call->has_timer = false;
+  call->settled = false;
+  call->leg_done = false;
+  call->replied = false;
+  free_calls_.push_back(call);
 }
 
 // ---- low-level primitives ---------------------------------------------
 
-namespace {
-
-// Hop-by-hop transfer state. Each scheduled event holds the shared_ptr, so
-// the state lives exactly until the final hop completes (no reference
-// cycles — the state does not hold its own continuation).
-struct Transfer {
-  SmockRuntime* runtime;
-  std::vector<net::LinkId> links;
-  std::uint64_t bytes;
-  std::function<void()> delivered;
-  std::function<void(TransportError)> dropped;
-};
-
-}  // namespace
-
-void SmockRuntime::send_bytes(net::NodeId from, net::NodeId to,
-                              std::uint64_t bytes,
-                              std::function<void()> delivered,
-                              std::function<void(TransportError)> dropped) {
+void SmockRuntime::send_bytes(
+    net::NodeId from, net::NodeId to, std::uint64_t bytes,
+    util::SmallFn delivered,
+    util::SmallFunction<void(TransportError)> dropped) {
   if (from == to) {
     // Local delivery: same-node IPC is negligible next to network costs.
     // (A crashed node cannot source traffic in the first place: nothing
@@ -516,35 +499,55 @@ void SmockRuntime::send_bytes(net::NodeId from, net::NodeId to,
   ++stats_.messages_sent;
   stats_.bytes_transferred += bytes;
 
-  auto transfer = std::make_shared<Transfer>(Transfer{
-      this, route->links, bytes, std::move(delivered), std::move(dropped)});
+  Transfer* transfer = acquire_transfer();
+  transfer->links.assign(route->links.begin(), route->links.end());
+  transfer->bytes = bytes;
+  transfer->delivered = std::move(delivered);
+  transfer->dropped = std::move(dropped);
+  hop(transfer, 0);
+}
 
-  // Walk the route hop by hop; each hop waits for the link to be free,
-  // serializes the message, then incurs the propagation latency. Link state
-  // is re-checked at each hop (the route was chosen at send time, but links
-  // may flap mid-flight), and lossy links draw per-hop from the runtime's
-  // seeded fault RNG.
-  struct Step {
-    static void run(const std::shared_ptr<Transfer>& t, std::size_t hop) {
-      if (hop == t->links.size()) {
-        t->delivered();
-        return;
-      }
-      SmockRuntime& rt = *t->runtime;
-      const net::Link& link = rt.network().link(t->links[hop]);
-      const bool severed = !link.up || !rt.network().node_up(link.a) ||
-                           !rt.network().node_up(link.b);
-      if (severed || (link.loss > 0.0 && rt.fault_rng_.bernoulli(link.loss))) {
-        ++rt.stats_.messages_dropped;
-        if (t->dropped) t->dropped(TransportError::kDropped);
-        return;
-      }
-      const sim::Time arrival = rt.reserve_link(t->links[hop], t->bytes);
-      rt.simulator().schedule_at(arrival,
-                                 [t, hop]() { Step::run(t, hop + 1); });
-    }
-  };
-  Step::run(transfer, 0);
+// Walks the route hop by hop; each hop waits for the link to be free,
+// serializes the message, then incurs the propagation latency. Link state is
+// re-checked at each hop (the route was chosen at send time, but links may
+// flap mid-flight), and lossy links draw per-hop from the seeded fault RNG.
+// The record is recycled before its final callback runs, so a callback that
+// sends again can reuse it.
+void SmockRuntime::hop(Transfer* t, std::size_t index) {
+  if (index == t->links.size()) {
+    util::SmallFn delivered = std::move(t->delivered);
+    release(t);
+    delivered();
+    return;
+  }
+  const net::Link& link = network_.link(t->links[index]);
+  const bool severed =
+      !link.up || !network_.node_up(link.a) || !network_.node_up(link.b);
+  if (severed || (link.loss > 0.0 && fault_rng_.bernoulli(link.loss))) {
+    ++stats_.messages_dropped;
+    util::SmallFunction<void(TransportError)> dropped = std::move(t->dropped);
+    release(t);
+    if (dropped) dropped(TransportError::kDropped);
+    return;
+  }
+  const sim::Time arrival = reserve_link(t->links[index], t->bytes);
+  sim_.schedule_at(arrival, [this, t, index] { hop(t, index + 1); });
+}
+
+SmockRuntime::Transfer* SmockRuntime::acquire_transfer() {
+  if (free_transfers_.empty()) {
+    transfer_pool_.push_back(std::make_unique<Transfer>());
+    return transfer_pool_.back().get();
+  }
+  Transfer* t = free_transfers_.back();
+  free_transfers_.pop_back();
+  return t;
+}
+
+void SmockRuntime::release(Transfer* transfer) {
+  transfer->delivered = nullptr;
+  transfer->dropped = nullptr;
+  free_transfers_.push_back(transfer);
 }
 
 sim::Time SmockRuntime::reserve_link(net::LinkId lid, std::uint64_t bytes) {
@@ -578,7 +581,7 @@ double SmockRuntime::link_busy_seconds(net::LinkId link) const {
 }
 
 void SmockRuntime::charge_cpu(net::NodeId node, double units,
-                              std::function<void()> done) {
+                              util::SmallFn done) {
   PSF_CHECK(node.valid() && node.value < network_.node_count());
   if (node_cpu_free_.size() <= node.value) {
     node_cpu_free_.resize(network_.node_count(), sim::Time::zero());

@@ -13,6 +13,17 @@
 //    work like encryption.
 //
 // Determinism: everything is driven by the discrete-event simulator.
+//
+// Allocation: a call in flight lives in a pooled Call record (target, reply
+// node, request, the caller's callback, the response slot) and each
+// network transfer in a pooled Transfer record (route links, byte count,
+// delivered/dropped callbacks). The runtime owns both pools and reuses
+// records; simulator events capture only a record pointer and a hop index,
+// so they stay inside SmallFn's inline buffer and the steady-state request
+// path allocates nothing of its own. A Call returns to its pool only once
+// its caller has been settled AND the target's handle_request has returned
+// — a same-node reply can settle the caller while the handler still reads
+// the request. Every failure path settles the caller exactly once.
 #pragma once
 
 #include <cstdint>
@@ -173,17 +184,12 @@ class SmockRuntime {
             ResponseCallback done);
 
   // Call into an instance from an arbitrary node (client applications and
-  // proxies use this).
-  void invoke_from_node(net::NodeId from, RuntimeInstanceId target,
-                        Request request, ResponseCallback done);
-
-  // As above, with a delivery deadline: if no response lands within
-  // `timeout`, the callback fires exactly once with a TransportError::
-  // kTimeout response (any late real response is discarded). A zero timeout
-  // means no deadline, identical to the overload above.
+  // proxies use this). With a positive `timeout`, if no response lands in
+  // time the callback fires exactly once with a TransportError::kTimeout
+  // response (any late real response is discarded); zero means no deadline.
   void invoke_from_node(net::NodeId from, RuntimeInstanceId target,
                         Request request, ResponseCallback done,
-                        sim::Duration timeout);
+                        sim::Duration timeout = sim::Duration());
 
   // Seeds the RNG behind per-hop loss draws. The RNG is consulted only on
   // links with loss > 0, so runs without lossy links never draw from it and
@@ -199,12 +205,12 @@ class SmockRuntime {
   // when provided (kUnreachable: no live route at send time; kDropped: lost
   // mid-route). With a null `dropped`, losses are silent — legacy behavior.
   void send_bytes(net::NodeId from, net::NodeId to, std::uint64_t bytes,
-                  std::function<void()> delivered,
-                  std::function<void(TransportError)> dropped = nullptr);
+                  util::SmallFn delivered,
+                  util::SmallFunction<void(TransportError)> dropped = nullptr);
 
   // Serial CPU of a node: runs `done` after `units` of CPU complete, queuing
   // behind earlier work on the same node.
-  void charge_cpu(net::NodeId node, double units, std::function<void()> done);
+  void charge_cpu(net::NodeId node, double units, util::SmallFn done);
 
   // Reserves `lid` for a `bytes`-sized message starting no earlier than now;
   // returns the simulated time the message reaches the far end (queueing +
@@ -216,9 +222,47 @@ class SmockRuntime {
   double node_busy_seconds(net::NodeId node) const;
   double link_busy_seconds(net::LinkId link) const;
 
+  // Record pools (see the header comment): records ever created, and those
+  // idle on the free list. Equal whenever nothing is in flight.
+  std::size_t call_records() const { return call_pool_.size(); }
+  std::size_t idle_call_records() const { return free_calls_.size(); }
+  std::size_t transfer_records() const { return transfer_pool_.size(); }
+  std::size_t idle_transfer_records() const { return free_transfers_.size(); }
+
  private:
-  void deliver(RuntimeInstanceId target, Request request,
-               net::NodeId reply_to, ResponseCallback done);
+  struct Call {
+    RuntimeInstanceId target = 0;
+    net::NodeId reply_to;
+    net::NodeId target_node;
+    Request request;
+    ResponseCallback done;
+    Response response;  // parked here while the reply crosses the network
+    sim::EventId timer = 0;
+    bool has_timer = false;
+    bool settled = false;   // `done` has fired
+    bool leg_done = false;  // request/response legs finished
+    bool handling = false;  // inside the target's handle_request
+    bool replied = false;   // the handler has called its reply callback
+  };
+
+  struct Transfer {
+    std::vector<net::LinkId> links;  // capacity reused across transfers
+    std::uint64_t bytes = 0;
+    util::SmallFn delivered;
+    util::SmallFunction<void(TransportError)> dropped;
+  };
+
+  void deliver(Call* call);
+  void handle(Call* call);
+  void send_reply(Call* call, Response response);
+  // Fires the caller's callback unless it already fired (timeout).
+  void settle(Call* call, Response response);
+  // Settles, marks both legs over and recycles the record when idle.
+  void finish(Call* call, Response response);
+  void release(Call* call);
+  void hop(Transfer* transfer, std::size_t index);
+  Transfer* acquire_transfer();
+  void release(Transfer* transfer);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -237,6 +281,12 @@ class SmockRuntime {
   // name). A repeat install transfers only a zero-byte control round — the
   // node wrapper keeps the code on disk. Cleared per node on crash.
   std::set<std::pair<std::uint32_t, std::string>> code_present_;
+  // Record pools: the vectors own every record ever made; the free lists
+  // hold the idle ones. Records are recycled, never freed one by one.
+  std::vector<std::unique_ptr<Call>> call_pool_;
+  std::vector<Call*> free_calls_;
+  std::vector<std::unique_ptr<Transfer>> transfer_pool_;
+  std::vector<Transfer*> free_transfers_;
 };
 
 }  // namespace psf::runtime

@@ -10,13 +10,16 @@
 // monotonically increasing sequence number breaks ties), so a given seed
 // always produces the same trace.
 //
-// Allocation: event callbacks are util::SmallFn — captures up to 48 bytes
-// live inline in the queue's own storage, so the steady-state hot path
-// performs no per-event heap allocation (std::function allocated for
-// anything over 16 bytes). Cancellation state is a watermarked flag window:
-// ids below the minimum outstanding id are dropped from the front, so
-// memory tracks the number of in-flight events, not the total ever
-// scheduled. bench/sim_allocs gates the allocation claim.
+// Allocation: event callbacks are util::SmallFn (SmallFunction<void()>) —
+// captures up to 48 bytes live inline in the queue's own storage, so the
+// steady-state hot path performs no per-event heap allocation
+// (std::function allocated for anything over 16 bytes). The runtime keeps
+// its per-call state in pooled records and schedules events that capture
+// only a record pointer and a hop index, so they stay inline too.
+// Cancellation state is a watermarked flag window: ids below the minimum
+// outstanding id are dropped from the front, so memory tracks the number of
+// in-flight events, not the total ever scheduled. bench/sim_allocs gates
+// both the per-event and the per-RPC allocation claims.
 #pragma once
 
 #include <cstdint>

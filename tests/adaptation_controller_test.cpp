@@ -293,6 +293,45 @@ TEST_F(AdaptationControllerFixture, RollingDrainMovesDeploymentOffNode) {
             runtime::AdaptationEvent::Outcome::kStillValid);
 }
 
+TEST_F(AdaptationControllerFixture,
+       CoalescedRepairsOfTwoTrackedClientsBothCutOver) {
+  // Two clients bound with the same request share one plan shape, so the
+  // drain asks for two identical repairs and the server coalesces them:
+  // both cutovers graft from the same freshly deployed template entry.
+  auto request = sd_request();
+  auto first = bind(request);
+  auto second = bind(request);
+  const std::size_t i0 = ctl->track(first, request);
+  const std::size_t i1 = ctl->track(second, request);
+
+  ctl->drain_node(sites.sd_client);
+  fw->run_for(sim::Duration::from_seconds(60));
+
+  EXPECT_EQ(ctl->stats().failed, 0u);
+  EXPECT_EQ(ctl->stats().repaired, 2u);
+  for (const std::size_t index : {i0, i1}) {
+    const auto [view, node] = tracked_view(index);
+    ASSERT_NE(view, 0u);
+    EXPECT_TRUE(fw->runtime().exists(view));
+    EXPECT_NE(node, sites.sd_client);
+  }
+  // Each client keeps its live entry; the shared template is gone, and it
+  // was retired exactly once (a second uninstall would have failed the
+  // cutover).
+  EXPECT_TRUE(fw->runtime().exists(first.entry));
+  EXPECT_TRUE(fw->runtime().exists(second.entry));
+  const std::string& entry_type = fw->runtime().instance(first.entry).def->name;
+  std::size_t live_entries = 0;
+  for (const runtime::RuntimeInstanceId id : fw->runtime().instance_ids()) {
+    if (fw->runtime().instance(id).def->name == entry_type) ++live_entries;
+  }
+  EXPECT_EQ(live_entries, 1u);
+  const runtime::RuntimeInstanceId shared_view = tracked_view(i0).first;
+  EXPECT_EQ(tracked_view(i1).first, shared_view);
+  EXPECT_EQ(fw->runtime().instance(first.entry).wires,
+            fw->runtime().instance(second.entry).wires);
+}
+
 TEST_F(AdaptationControllerFixture, SiteTrustLossIsUnsatisfiable) {
   auto request = sd_request();
   auto outcome = bind(request);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "runtime/lookup.hpp"
 #include "runtime/smock.hpp"
@@ -28,6 +30,15 @@ class EchoComponent : public Component {
       response.body = body;
       response.wire_bytes = 64;
       done(std::move(response));
+    } else if (request.op == "reply_then_read") {
+      // Answers synchronously, then keeps reading the request: a same-node
+      // caller is settled inside done(), before this handler returns.
+      Response response;
+      response.wire_bytes = 64;
+      done(std::move(response));
+      const auto* in = body_as<EchoBody>(request);
+      reads_after_reply.push_back(request.op + ":" +
+                                  (in != nullptr ? in->text : ""));
     } else if (request.op == "forward") {
       Request inner;
       inner.op = "echo";
@@ -40,6 +51,7 @@ class EchoComponent : public Component {
   }
 
   int handled = 0;
+  std::vector<std::string> reads_after_reply;
 };
 
 struct RuntimeFixture : public ::testing::Test {
@@ -65,6 +77,36 @@ struct RuntimeFixture : public ::testing::Test {
                   .register_type("Echo",
                                  [] { return std::make_unique<EchoComponent>(); })
                   .is_ok());
+  }
+
+  Request echo_request(std::string op, std::string text = "") {
+    Request request;
+    request.op = std::move(op);
+    request.wire_bytes = 1000;
+    auto body = std::make_shared<EchoBody>();
+    body->text = std::move(text);
+    request.body = body;
+    return request;
+  }
+
+  // Invokes `target` from `from` and records every response the callback
+  // sees, so tests can check a call settles exactly once.
+  void invoke_recording(net::NodeId from, RuntimeInstanceId target,
+                        Request request, std::vector<Response>& seen,
+                        sim::Duration timeout = sim::Duration()) {
+    runtime.invoke_from_node(
+        from, target, std::move(request),
+        [&seen](Response response) { seen.push_back(std::move(response)); },
+        timeout);
+  }
+
+  EchoComponent& echo_of(RuntimeInstanceId id) {
+    return dynamic_cast<EchoComponent&>(*runtime.instance(id).component);
+  }
+
+  void expect_pools_idle() {
+    EXPECT_EQ(runtime.idle_call_records(), runtime.call_records());
+    EXPECT_EQ(runtime.idle_transfer_records(), runtime.transfer_records());
   }
 
   RuntimeInstanceId install(net::NodeId node, net::NodeId origin) {
@@ -324,16 +366,20 @@ TEST_F(RuntimeFixture, CallToUninstalledInstanceFails) {
 }
 
 TEST_F(RuntimeFixture, RequestToStoppedInstanceFails) {
-  const RuntimeInstanceId id = install(a, a);
-  Request request;
-  request.op = "echo";
-  bool failed = false;
-  runtime.invoke_from_node(a, id, std::move(request), [&](Response response) {
-    EXPECT_FALSE(response.ok);
-    failed = true;
-  });
+  // Local and remote, a never-started target settles the caller once.
+  const RuntimeInstanceId local = install(a, a);
+  const RuntimeInstanceId remote = install(b, b);
+  std::vector<Response> seen;
+  invoke_recording(a, local, echo_request("echo"), seen);
+  invoke_recording(a, remote, echo_request("echo"), seen);
   sim.run();
-  EXPECT_TRUE(failed);
+  ASSERT_EQ(seen.size(), 2u);
+  for (const Response& response : seen) {
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.transport, TransportError::kDeadTarget);
+    EXPECT_NE(response.error.find("not started"), std::string::npos);
+  }
+  expect_pools_idle();
 }
 
 TEST_F(RuntimeFixture, InstancesOnFiltersByNode) {
@@ -343,6 +389,155 @@ TEST_F(RuntimeFixture, InstancesOnFiltersByNode) {
   EXPECT_EQ(runtime.instances_on(a).size(), 2u);
   EXPECT_EQ(runtime.instances_on(b).size(), 1u);
   EXPECT_EQ(runtime.instance_count(), 3u);
+}
+
+TEST(SmallFnTest, ResponseCallbackTakesResponseByMove) {
+  auto body = std::make_shared<EchoBody>();
+  body->text = "moved";
+  std::shared_ptr<const MessageBody> kept;
+  ResponseCallback done([&kept](Response response) {
+    kept = std::move(response.body);
+  });
+  Response response;
+  response.body = body;
+  done(std::move(response));
+  EXPECT_EQ(kept.get(), body.get());
+  EXPECT_EQ(body.use_count(), 2);  // handed through, never copied
+}
+
+// ---- call records: lifetime and exactly-once settlement -----------------
+
+TEST_F(RuntimeFixture, SameNodeSyncReplyKeepsRequestAliveForNestedCalls) {
+  const RuntimeInstanceId id = install(a, a);
+  ASSERT_TRUE(runtime.start(id).is_ok());
+  EchoComponent& echo = echo_of(id);
+
+  // The caller sits on the component's node, so the reply settles it
+  // synchronously inside done(); from there it issues a nested call, which
+  // must not reuse the record the still-running handler reads from.
+  std::vector<Response> outer;
+  std::vector<Response> nested;
+  runtime.invoke_from_node(
+      a, id, echo_request("reply_then_read", "first"),
+      [&](Response response) {
+        outer.push_back(std::move(response));
+        invoke_recording(a, id, echo_request("reply_then_read", "second"),
+                         nested);
+      });
+  sim.run();
+  ASSERT_EQ(outer.size(), 1u);
+  ASSERT_EQ(nested.size(), 1u);
+  EXPECT_TRUE(outer[0].ok);
+  EXPECT_TRUE(nested[0].ok);
+  EXPECT_EQ(echo.reads_after_reply,
+            (std::vector<std::string>{"reply_then_read:first",
+                                      "reply_then_read:second"}));
+  expect_pools_idle();
+}
+
+TEST_F(RuntimeFixture, RequestLegDropSettlesOnce) {
+  const RuntimeInstanceId id = install(b, b);
+  ASSERT_TRUE(runtime.start(id).is_ok());
+  network.set_link_loss(link, 1.0);
+  std::vector<Response> seen;
+  invoke_recording(a, id, echo_request("echo"), seen);
+  sim.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].transport, TransportError::kDropped);
+  EXPECT_NE(seen[0].error.find("request"), std::string::npos);
+  EXPECT_EQ(echo_of(id).handled, 0);
+  expect_pools_idle();
+}
+
+TEST_F(RuntimeFixture, ResponseLegDropSettlesOnce) {
+  const RuntimeInstanceId id = install(b, b);
+  ASSERT_TRUE(runtime.start(id).is_ok());
+  std::vector<Response> seen;
+  invoke_recording(a, id, echo_request("echo"), seen);
+  // The request lands at 101 ms and the handler runs 100 us later; losing
+  // the link in between drops only the response.
+  sim.schedule(sim::Duration::from_micros(101'050),
+               [this] { network.set_link_loss(link, 1.0); });
+  sim.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].transport, TransportError::kDropped);
+  EXPECT_NE(seen[0].error.find("response"), std::string::npos);
+  EXPECT_EQ(echo_of(id).handled, 1);
+  expect_pools_idle();
+}
+
+TEST_F(RuntimeFixture, DeadTargetSettlesOnce) {
+  const RuntimeInstanceId gone = install(b, b);
+  ASSERT_TRUE(runtime.uninstall(gone).is_ok());
+  std::vector<Response> seen;
+  invoke_recording(a, gone, echo_request("echo"), seen);
+
+  // And a target removed while the request is on the wire.
+  const RuntimeInstanceId doomed = install(b, b);
+  ASSERT_TRUE(runtime.start(doomed).is_ok());
+  invoke_recording(a, doomed, echo_request("echo"), seen);
+  sim.schedule(sim::Duration::from_millis(50),
+               [this, doomed] {
+                 ASSERT_TRUE(runtime.uninstall(doomed).is_ok());
+               });
+  sim.run();
+  ASSERT_EQ(seen.size(), 2u);
+  for (const Response& response : seen) {
+    EXPECT_EQ(response.transport, TransportError::kDeadTarget);
+  }
+  expect_pools_idle();
+}
+
+TEST_F(RuntimeFixture, TimeoutThenLateReplySettlesOnce) {
+  const RuntimeInstanceId id = install(b, b);
+  ASSERT_TRUE(runtime.start(id).is_ok());
+  std::vector<Response> seen;
+  sim::Time settled_at;
+  runtime.invoke_from_node(
+      a, id, echo_request("echo", "late"),
+      [&](Response response) {
+        settled_at = sim.now();
+        seen.push_back(std::move(response));
+      },
+      sim::Duration::from_millis(50));
+  sim.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].transport, TransportError::kTimeout);
+  EXPECT_NEAR(settled_at.seconds(), 0.05, 1e-9);
+  // The request still ran; its reply was discarded.
+  EXPECT_EQ(echo_of(id).handled, 1);
+  EXPECT_EQ(runtime.stats().invoke_timeouts, 1u);
+  EXPECT_GT(sim.now().seconds(), 0.2);  // the late reply did land
+  expect_pools_idle();
+}
+
+TEST_F(RuntimeFixture, RecordPoolsStopGrowingUnderRepeatedFailures) {
+  const RuntimeInstanceId stopped = install(b, b);
+  const RuntimeInstanceId live = install(b, b);
+  ASSERT_TRUE(runtime.start(live).is_ok());
+  std::vector<Response> seen;
+  std::size_t calls_after_warmup = 0;
+  std::size_t transfers_after_warmup = 0;
+  for (int i = 0; i < 1000; ++i) {
+    // Three failure shapes per round: not started, dropped on the request
+    // leg, and timed out with a late reply.
+    invoke_recording(a, stopped, echo_request("echo"), seen);
+    network.set_link_loss(link, i % 2 == 0 ? 1.0 : 0.0);
+    invoke_recording(a, live, echo_request("echo"), seen,
+                     sim::Duration::from_millis(10));
+    sim.run();
+    network.set_link_loss(link, 0.0);
+    if (i == 9) {
+      calls_after_warmup = runtime.call_records();
+      transfers_after_warmup = runtime.transfer_records();
+    }
+  }
+  ASSERT_EQ(seen.size(), 2000u);
+  for (const Response& response : seen) EXPECT_FALSE(response.ok);
+  EXPECT_EQ(runtime.call_records(), calls_after_warmup);
+  EXPECT_EQ(runtime.transfer_records(), transfers_after_warmup);
+  EXPECT_LE(runtime.call_records(), 2u);
+  expect_pools_idle();
 }
 
 // ---- lookup ----------------------------------------------------------

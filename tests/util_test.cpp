@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/small_fn.hpp"
@@ -280,6 +283,51 @@ TEST(SmallFnTest, MoveRelocatesInlineStateAndEmptiesSource) {
 TEST(SmallFnTest, CallingEmptyFnDies) {
   SmallFn empty;
   EXPECT_DEATH(empty(), "empty SmallFn");
+}
+
+TEST(SmallFnTest, GenericFormForwardsMoveOnlyArguments) {
+  int got = 0;
+  SmallFunction<void(std::unique_ptr<int>)> take(
+      [&got](std::unique_ptr<int> p) { got = *p; });
+  take(std::make_unique<int>(5));
+  EXPECT_EQ(got, 5);
+
+  // A move-only capture plus a by-reference argument.
+  auto owned = std::make_unique<int>(2);
+  SmallFunction<void(int&)> add([owned = std::move(owned)](int& x) {
+    x += *owned;
+  });
+  int x = 1;
+  add(x);
+  EXPECT_EQ(x, 3);
+}
+
+TEST(SmallFnTest, ConstCallRunsMutableCallable) {
+  std::vector<int> seen;
+  const SmallFunction<void(int)> count(
+      [calls = 0, &seen](int v) mutable { seen.push_back(v + ++calls); });
+  count(10);
+  count(10);
+  EXPECT_EQ(seen, (std::vector<int>{11, 12}));
+}
+
+TEST(SmallFnTest, EverySignatureSharesOneCounterBlock) {
+  SmallFn::reset_counters();
+  struct Big {
+    unsigned char bytes[SmallFn::kInlineBytes + 8] = {};
+  } big;
+  int sum = 0;
+  SmallFunction<void(int)> wide([big, &sum](int v) { sum = v + big.bytes[0]; });
+  SmallFunction<void(const std::string&)> narrow(
+      [&sum](const std::string& s) { sum += static_cast<int>(s.size()); });
+  wide(1);
+  narrow("ab");
+  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(SmallFn::heap_fallback_count(), 1u);
+  EXPECT_EQ(SmallFunction<void(int)>::heap_fallback_count(), 1u);
+  EXPECT_EQ(SmallFn::constructed_count(), 2u);
+  SmallFunction<void(const std::string&)>::reset_counters();
+  EXPECT_EQ(SmallFn::constructed_count(), 0u);
 }
 
 }  // namespace

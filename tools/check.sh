@@ -5,7 +5,9 @@
 #   tools/check.sh            # standard build + tier-1 ctest + TSan planner test
 #   tools/check.sh --no-tsan  # standard build + tier-1 ctest only
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
-#                             # plan-cache / generic-server suites
+#                             # plan-cache / generic-server / runtime /
+#                             # mail / coherence-pipeline / adaptation-
+#                             # controller suites
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -195,13 +197,17 @@ if [[ "${RUN_UBSAN}" == 1 ]]; then
 fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
-  echo "== AddressSanitizer build (plan cache + generic server) =="
+  # The runtime's pooled call/transfer records are raw-pointer lifetimes;
+  # the runtime, mail, coherence and adaptation suites drive them.
+  echo "== AddressSanitizer build (plan cache, generic server, runtime) =="
+  ASAN_TESTS=(plan_cache_test generic_test telemetry_test runtime_test
+              mail_test mail_edge_test coherence_pipeline_test
+              adaptation_controller_test)
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "${JOBS}" \
-    --target plan_cache_test generic_test telemetry_test
-  ./build-asan/tests/plan_cache_test
-  ./build-asan/tests/generic_test
-  ./build-asan/tests/telemetry_test
+  cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}"
+  for t in "${ASAN_TESTS[@]}"; do
+    "./build-asan/tests/${t}"
+  done
 fi
 
 echo "== all checks passed =="
