@@ -10,67 +10,29 @@
 //    allocator calls per RPC: the runtime's pooled call and transfer
 //    records should leave the steady-state path allocation-free.
 //
-// Counts every heap allocation in the process. Writes BENCH_sim_allocs.json
-// and exits 1 unless the Simulator makes at least 10x fewer allocations per
-// event than the baseline and an echo RPC makes at most 0.1 allocations.
+// Counts every heap allocation in the process (alloc_counter.hpp). Writes
+// BENCH_sim_allocs.json and exits 1 unless the Simulator makes at least 10x
+// fewer allocations per event than the baseline and an echo RPC makes at
+// most 0.1 allocations.
 // Registered as a tier-1 ctest; takes no arguments.
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <queue>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_json.hpp"
 #include "net/network.hpp"
 #include "runtime/smock.hpp"
 #include "sim/simulator.hpp"
 #include "spec/builder.hpp"
 
-// ---- global allocation counter ---------------------------------------------
-// Counts every operator-new in the process so the event hot path's allocator
-// traffic can be measured directly, not inferred.
-
 namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
 
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  void* p = nullptr;
-  if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a,
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
+using psf::bench::heap_allocations;
 
 // ---- seed-behavior baseline event engine -----------------------------------
 // Replicates the pre-overhaul simulator: std::function callbacks (heap
@@ -161,7 +123,7 @@ AllocMeasurement measure_allocs(std::size_t chains, std::size_t rounds) {
   AllocMeasurement m;
   {
     BaselineEngine engine;
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = heap_allocations();
     const std::uint64_t executed = run_chain_workload(
         engine,
         [&engine](std::int64_t when, auto fn) {
@@ -169,12 +131,12 @@ AllocMeasurement measure_allocs(std::size_t chains, std::size_t rounds) {
         },
         chains, rounds);
     m.baseline_per_event =
-        static_cast<double>(g_allocs.load() - before) /
+        static_cast<double>(heap_allocations() - before) /
         static_cast<double>(executed);
   }
   {
     psf::sim::Simulator engine;
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = heap_allocations();
     std::uint64_t executed = 0;
     {
       struct Adapter {
@@ -190,7 +152,7 @@ AllocMeasurement measure_allocs(std::size_t chains, std::size_t rounds) {
           },
           chains, rounds);
     }
-    m.engine_per_event = static_cast<double>(g_allocs.load() - before) /
+    m.engine_per_event = static_cast<double>(heap_allocations() - before) /
                          static_cast<double>(executed);
   }
   const double denom = m.engine_per_event > 1e-9 ? m.engine_per_event : 1e-9;
@@ -255,9 +217,9 @@ double measure_rpc_allocs(std::size_t warmup, std::size_t rpcs) {
     sim.run();
   };
   for (std::size_t i = 0; i < warmup; ++i) one_rpc();
-  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t before = heap_allocations();
   for (std::size_t i = 0; i < rpcs; ++i) one_rpc();
-  const std::uint64_t allocs = g_allocs.load() - before;
+  const std::uint64_t allocs = heap_allocations() - before;
   PSF_CHECK(answered == warmup + rpcs);
   return static_cast<double>(allocs) / static_cast<double>(rpcs);
 }

@@ -8,7 +8,9 @@
 // n1..nm (typically the route from the client to the service's home node),
 // it finds the order-preserving assignment minimizing expected request
 // latency in O(k · m²) instead of the exhaustive planner's exponential
-// search. bench/planner_scaling compares the two.
+// search. Planner::plan never calls it: it is the test oracle the search is
+// checked against on path topologies (tests/dp_chain_test.cpp,
+// tests/hierarchy_test.cpp, bench/planner_scaling section C).
 //
 // Scope notes (matching what CANS handled): installation conditions and
 // pairwise property compatibility (with modification rules across the links
@@ -39,7 +41,7 @@ struct ChainPlanResult {
   double expected_latency_s = 0.0;
   // Exploration diagnostics: (component, position) pairs the feasibility
   // test rejected, by cause — the DP's analogue of the search's rejection
-  // counters, folded into SearchStats by the fast-path caller.
+  // counters.
   std::uint64_t rejected_condition = 0;
   std::uint64_t rejected_node_capacity = 0;
   std::uint64_t rejected_instance_capacity = 0;

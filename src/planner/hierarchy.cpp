@@ -2,33 +2,11 @@
 #include "planner/hierarchy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace psf::planner {
 
-double discount_floor(const spec::ServiceSpec& spec,
-                      const PlanRequest& request) {
-  double min_rrf = 1.0;
-  for (const spec::ComponentDef& comp : spec.components) {
-    double rrf = comp.behaviors.rrf;
-    if (comp.is_view()) {
-      // The planner scores new views with the cold-padded RRF, which is
-      // >= the warm one — keep the smaller (warm) value; the floor must sit
-      // below every discount the search can actually apply.
-      rrf = std::min(rrf, std::min(1.0, rrf + request.cold_view_penalty *
-                                                  (1.0 - rrf)));
-    }
-    min_rrf = std::min(min_rrf, rrf);
-  }
-  min_rrf = std::clamp(min_rrf, 0.0, 1.0);
-  const std::size_t exponent =
-      request.max_depth >= 1 ? request.max_depth - 1 : 0;
-  return std::pow(min_rrf, static_cast<double>(exponent));
-}
-
 std::vector<ClusterRefinement> build_refinements(
-    const ClusterIndex& index, const spec::ServiceSpec& spec,
-    const PlanRequest& request,
+    const ClusterIndex& index, const PlanRequest& request,
     const std::vector<ExistingInstance>& existing) {
   const std::size_t k = index.num_clusters();
   const ClusterIndex::ClusterId home = index.cluster_of(request.client_node);
@@ -39,8 +17,6 @@ std::vector<ClusterRefinement> build_refinements(
   fixed.push_back(request.client_node);
   if (request.code_origin.valid()) fixed.push_back(request.code_origin);
   for (const ExistingInstance& inst : existing) fixed.push_back(inst.node);
-
-  const double floor = discount_floor(spec, request);
 
   std::vector<ClusterRefinement> out;
   out.reserve(k);
@@ -61,24 +37,20 @@ std::vector<ClusterRefinement> build_refinements(
     cand.insert(cand.end(), fixed.begin(), fixed.end());
     std::sort(cand.begin(), cand.end());
     cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-
-    if (ref.cluster != home && request.objective == Objective::kMinLatency) {
-      // Any plan placing a new component in c carries at least one wire
-      // crossing from the home side, whose RTT is >= 2 * one-way quotient
-      // LB; the floor converts it into score units (see header).
-      ref.lower_bound = 2.0 * index.latency_lb_s(home, ref.cluster) * floor;
-    }
     out.push_back(std::move(ref));
   }
 
+  const auto key = [&](const ClusterRefinement& ref) {
+    return request.objective == Objective::kMinLatency
+               ? index.latency_lb_s(home, ref.cluster)
+               : 0.0;
+  };
   std::sort(out.begin(), out.end(),
-            [home](const ClusterRefinement& a, const ClusterRefinement& b) {
+            [&](const ClusterRefinement& a, const ClusterRefinement& b) {
               const bool a_home = a.cluster == home;
               const bool b_home = b.cluster == home;
               if (a_home != b_home) return a_home;
-              if (a.lower_bound != b.lower_bound) {
-                return a.lower_bound < b.lower_bound;
-              }
+              if (key(a) != key(b)) return key(a) < key(b);
               return a.cluster < b.cluster;
             });
   return out;

@@ -1,8 +1,8 @@
 // Refinement schedule for the hierarchical (two-level) mapping search.
 //
-// The coordinator in planner.cpp searches one ClusterRefinement at a time
-// (or fans them out over the thread pool): an exact BnB search restricted to
-// the refinement's candidate node set. Candidate sets are built so that
+// Planner::plan searches one ClusterRefinement at a time, in order: an
+// exact BnB search restricted to the refinement's candidate node set.
+// Candidate sets are built so that
 //  - the client cluster's refinement (always rank 0) can express every plan
 //    confined to the client's own cluster plus existing instances, and
 //  - cluster c's refinement can express every plan that stages components
@@ -12,15 +12,6 @@
 // satisfiable request is never missed; what hierarchical search gives up is
 // plans spanning two non-client clusters that are not on each other's
 // quotient path (the measured optimality gap, gated <= 5% in the bench).
-//
-// lower_bound is an admissible bound on the primary score of any plan that
-// places a NEW component inside cluster c (the plans unique to refinement
-// c): such a plan routes at least once from the client cluster to c, paying
-// >= 2 * quotient latency LB on that wire, discounted by no less than
-// discount_floor(spec, request). Plans that avoid c's members entirely are
-// expressible at some lower-bound-smaller rank, so skipping refinement c
-// when lower_bound exceeds the incumbent never discards the optimum over
-// the hierarchical plan space.
 #pragma once
 
 #include <vector>
@@ -32,26 +23,16 @@ namespace psf::planner {
 
 struct ClusterRefinement {
   ClusterIndex::ClusterId cluster = 0;
-  // Admissible lower bound on the primary score of plans unique to this
-  // refinement. Always 0 for the client cluster and for objectives other
-  // than kMinLatency (deployment cost and headroom do not grow with
-  // distance in a way the quotient can bound).
-  double lower_bound = 0.0;
   std::vector<net::NodeId> candidates;  // id-sorted, duplicate-free
 };
 
-// Conservative floor on the RRF discount any plan edge can carry: (min over
-// components of its cold-padded RRF, clamped to <= 1) ^ (max_depth - 1).
-// Multiplying a raw latency bound by this keeps it admissible for *scores*,
-// where deep edges are discounted by ancestor RRF products.
-double discount_floor(const spec::ServiceSpec& spec,
-                      const PlanRequest& request);
-
 // One refinement per cluster, ordered client cluster first, then ascending
-// (lower_bound, cluster id). Deterministic for a fixed network and request.
+// by quotient latency from the client's cluster (kMinLatency only; other
+// objectives keep cluster id order), ties by cluster id. Nearby clusters
+// run early so their plans tighten the incumbent for the far ones.
+// Deterministic for a fixed network and request.
 std::vector<ClusterRefinement> build_refinements(
-    const ClusterIndex& index, const spec::ServiceSpec& spec,
-    const PlanRequest& request,
+    const ClusterIndex& index, const PlanRequest& request,
     const std::vector<ExistingInstance>& existing);
 
 }  // namespace psf::planner

@@ -3,20 +3,15 @@
 #include "planner/planner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "planner/cluster.hpp"
-#include "planner/dp_chain.hpp"
 #include "planner/hierarchy.hpp"
-#include "planner/linkage.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,10 +48,6 @@ struct Score {
   }
 };
 
-bool score_equal(const Score& a, const Score& b) {
-  return !(a < b) && !(b < a);
-}
-
 Score score_plan(Objective objective, const PlanMetrics& m) {
   switch (objective) {
     case Objective::kMinLatency:
@@ -71,48 +62,20 @@ Score score_plan(Objective objective, const PlanMetrics& m) {
   return {};
 }
 
-// One entry-level candidate of the mapping search: the depth-1 placement
-// choice (component × node) that roots an independent subtree. The parallel
-// search fans these out across workers.
-struct EntryBranch {
-  const spec::ComponentDef* component = nullptr;
-  const spec::LinkageDecl* impl = nullptr;
-  net::NodeId node;
-};
-
-// The incumbent's primary score, shared across search workers so that one
-// worker's good plan prunes the others' subtrees. Only the primary field is
-// shared: it is sufficient for the strict bound test, and a single double
-// can be maintained lock-free.
-class SharedIncumbent {
- public:
-  double load() const { return primary_.load(std::memory_order_relaxed); }
-
-  void offer(double primary) {
-    double cur = primary_.load(std::memory_order_relaxed);
-    while (primary < cur &&
-           !primary_.compare_exchange_weak(cur, primary,
-                                           std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> primary_{kInfinity};
-};
-
 class Search {
  public:
   // `candidate_nodes` restricts where NEW components may be placed (existing
-  // instances are reachable regardless). The flat search passes every node;
-  // a hierarchical refinement passes its cluster's candidate set.
+  // instances are reachable regardless): every node, a hierarchical
+  // refinement's cluster set, or a repair's restricted set. `incumbent` is
+  // the best primary score of the searches that ran before this one on the
+  // same request; it prunes this search and is lowered by its plans.
   // `deadline` (when enabled) turns the search anytime: once any incumbent
-  // exists — this worker's or the fleet's — passing the deadline unwinds
-  // the DFS and returns the best plan found so far.
+  // exists, passing the deadline unwinds the DFS and returns the best plan
+  // found so far.
   Search(const spec::ServiceSpec& spec, const EnvironmentView& env,
          const spec::ImplementerIndex& index, const PlanRequest& request,
-         const std::vector<ExistingInstance>& existing,
-         SharedIncumbent& shared, SearchStats& stats,
-         const std::vector<net::NodeId>& candidate_nodes,
+         const std::vector<ExistingInstance>& existing, double& incumbent,
+         SearchStats& stats, const std::vector<net::NodeId>& candidate_nodes,
          std::chrono::steady_clock::time_point deadline, bool has_deadline)
       : spec_(spec),
         env_(env),
@@ -120,7 +83,7 @@ class Search {
         index_(index),
         request_(request),
         existing_(existing),
-        shared_(shared),
+        incumbent_(incumbent),
         stats_(stats),
         bound_pruning_(request.bound_pruning),
         candidate_nodes_(candidate_nodes),
@@ -131,30 +94,31 @@ class Search {
     existing_added_rps_.assign(existing.size(), 0.0);
   }
 
-  // Explores branches[first], branches[first + stride], ... in order. With
-  // first=0, stride=1 this is exactly the serial search; a parallel worker
-  // takes a stride-W slice so that adjacent (similar-cost) branches spread
-  // across workers.
-  void run_branches(const std::vector<EntryBranch>& branches,
-                    std::size_t first, std::size_t stride) {
+  // Places the entry component: each implementer in declaration order, at
+  // the client node when pinned, else at every candidate node in order.
+  void run() {
     if (request_.max_depth < 1) return;
-    for (std::size_t i = first; i < branches.size(); i += stride) {
-      if (expired()) return;
-      current_branch_ = i;
-      const EntryBranch& b = branches[i];
-      try_new(*b.component, *b.impl, b.node, request_.interface_name,
-              request_.required_properties, request_.client_node,
-              request_.request_rate_rps, /*depth=*/1, kNoParent,
-              /*discount=*/1.0, /*committed=*/0.0,
-              [this](InstanceId root, double padded_s, double warm_s) {
-                finish_plan(root, padded_s, warm_s);
-              });
+    auto it = index_.find(request_.interface_name);
+    if (it == index_.end()) return;
+    const std::vector<net::NodeId> pinned{request_.client_node};
+    const std::vector<net::NodeId>& entry_nodes =
+        request_.pin_entry_to_client ? pinned : candidate_nodes_;
+    for (const spec::ImplementerRef& ref : it->second) {
+      for (net::NodeId node : entry_nodes) {
+        if (expired()) return;
+        try_new(*ref.component, *ref.linkage, node, request_.interface_name,
+                request_.required_properties, request_.client_node,
+                request_.request_rate_rps, /*depth=*/1, kNoParent,
+                /*discount=*/1.0, /*committed=*/0.0,
+                [this](InstanceId root, double padded_s, double warm_s) {
+                  finish_plan(root, padded_s, warm_s);
+                });
+      }
     }
   }
 
   std::optional<DeploymentPlan> take_best() { return std::move(best_); }
   const Score& best_score() const { return best_score_; }
-  std::size_t best_branch() const { return best_branch_; }
 
  private:
   using Requirements =
@@ -199,24 +163,13 @@ class Search {
 
   // ---- branch-and-bound ---------------------------------------------------
 
-  // The incumbent primary score this worker must beat: the better of its own
-  // best and the fleet-wide shared best.
-  double incumbent_primary() const {
-    double inc = shared_.load();
-    if (best_.has_value() && best_score_.primary < inc) {
-      inc = best_score_.primary;
-    }
-    return inc;
-  }
-
   // Strict bound test with a small relative margin. The margin absorbs
   // floating-point reassociation between the incrementally accumulated bound
-  // and the final score computation, so a mathematical tie is never pruned —
-  // that is what keeps the parallel result bit-identical to the serial one
-  // (ties keep the earliest branch, and an exact-tie subtree must survive to
-  // report its candidate).
+  // and the final score computation, so a mathematical tie is never pruned:
+  // pruning then never changes the returned plan (ties keep the earliest
+  // candidate, and an exact-tie subtree must survive to report its own).
   bool should_prune(double bound) const {
-    const double inc = incumbent_primary();
+    const double inc = incumbent_;
     if (inc == kInfinity) return false;
     return bound > inc + 1e-9 * std::max(1.0, std::abs(inc));
   }
@@ -231,7 +184,7 @@ class Search {
     if (!has_deadline_) return false;
     if (deadline_expired_) return true;
     if ((++deadline_poll_ & kDeadlinePollMask) != 0) return false;
-    if (incumbent_primary() == kInfinity) return false;
+    if (incumbent_ == kInfinity) return false;
     if (std::chrono::steady_clock::now() >= deadline_) {
       deadline_expired_ = true;
       stats_.deadline_hit = true;
@@ -482,7 +435,8 @@ class Search {
 
     // Cycle guard: never place the same component twice on the same node
     // along one requirement path.
-    if (path_.count({&comp, node.value}) != 0) {
+    if (std::find(path_.begin(), path_.end(), std::make_pair(&comp, node)) !=
+        path_.end()) {
       ++stats_.rejected_cycle;
       return;
     }
@@ -613,7 +567,7 @@ class Search {
       return;
     }
     node_load_[node.value] += cpu_add;
-    path_.insert({&comp, node.value});
+    path_.emplace_back(&comp, node);
     if (comp.is_view()) view_path_.emplace_back(&comp, factors);
     committed_cost_ += cost_add;
 
@@ -666,7 +620,7 @@ class Search {
     placements_.pop_back();
     committed_cost_ -= cost_add;
     if (comp.is_view()) view_path_.pop_back();
-    path_.erase({&comp, node.value});
+    path_.pop_back();
     node_load_[node.value] -= cpu_add;
     release_route(*route_in, comp.behaviors, rate);
   }
@@ -849,8 +803,7 @@ class Search {
     plan.metrics = metrics;
     best_ = std::move(plan);
     best_score_ = score;
-    best_branch_ = current_branch_;
-    shared_.offer(best_score_.primary);
+    incumbent_ = std::min(incumbent_, score.primary);
   }
 
   const spec::ServiceSpec& spec_;
@@ -859,7 +812,7 @@ class Search {
   const spec::ImplementerIndex& index_;
   const PlanRequest& request_;
   const std::vector<ExistingInstance>& existing_;
-  SharedIncumbent& shared_;
+  double& incumbent_;
   SearchStats& stats_;
   const bool bound_pruning_;
   const std::vector<net::NodeId>& candidate_nodes_;
@@ -876,76 +829,18 @@ class Search {
   std::vector<double> link_load_;  // added bps per link
   std::vector<double> existing_added_rps_;
   std::map<std::uint64_t, InstanceId> placed_existing_;
-  std::set<std::pair<const spec::ComponentDef*, std::uint32_t>> path_;
+  // Cycle guard: the (component, node) placements on the current
+  // requirement path, at most max_depth of them.
+  std::vector<std::pair<const spec::ComponentDef*, net::NodeId>> path_;
   std::vector<std::pair<const spec::ComponentDef*, FactorBindings>>
       view_path_;
   // Committed (1 + code-transfer cost) of the current partial plan's new
   // placements — the kMinDeploymentCost bound.
   double committed_cost_ = 0.0;
 
-  std::size_t current_branch_ = 0;
-  std::size_t best_branch_ = 0;
   std::optional<DeploymentPlan> best_;
   Score best_score_;
 };
-
-// Enumerates the entry-level fan-out in the serial search's visit order:
-// implementing components in declaration order, candidate nodes in the
-// given order (or just the client node when the entry is pinned there).
-std::vector<EntryBranch> make_entry_branches(
-    const spec::ImplementerIndex& index, const PlanRequest& request,
-    const std::vector<net::NodeId>& candidate_nodes) {
-  std::vector<EntryBranch> branches;
-  auto it = index.find(request.interface_name);
-  if (it == index.end()) return branches;
-  for (const spec::ImplementerRef& ref : it->second) {
-    if (request.pin_entry_to_client) {
-      branches.push_back({ref.component, ref.linkage, request.client_node});
-    } else {
-      for (net::NodeId node : candidate_nodes) {
-        branches.push_back({ref.component, ref.linkage, node});
-      }
-    }
-  }
-  return branches;
-}
-
-// Detects a fault-free path topology with `client` at an endpoint and
-// returns its node sequence starting from the client; nullopt on any other
-// shape (branching, cycles, parallel edges, down elements, client mid-path)
-// — the caller falls back to the general search.
-std::optional<std::vector<net::NodeId>> path_topology_from(
-    const net::Network& network, net::NodeId client) {
-  const std::size_t n = network.node_count();
-  for (net::NodeId id : network.all_nodes()) {
-    if (!network.node_up(id)) return std::nullopt;
-    if (network.links_of(id).size() > 2) return std::nullopt;
-  }
-  for (net::LinkId lid : network.all_links()) {
-    if (!network.link_up(lid)) return std::nullopt;
-  }
-  if (network.links_of(client).size() > 1) return std::nullopt;
-
-  std::vector<net::NodeId> path{client};
-  net::NodeId prev;  // invalid
-  net::NodeId cur = client;
-  while (true) {
-    net::NodeId next;  // invalid
-    for (net::LinkId lid : network.links_of(cur)) {
-      const net::NodeId other = network.link(lid).other(cur);
-      if (other == prev) continue;
-      if (next.valid()) return std::nullopt;  // parallel edges
-      next = other;
-    }
-    if (!next.valid()) break;
-    path.push_back(next);
-    prev = cur;
-    cur = next;
-    if (path.size() > n) return std::nullopt;  // cycle
-  }
-  if (path.size() != n) return std::nullopt;  // disconnected / mid-path start
-  return path;
-}
 
 }  // namespace
 
@@ -954,7 +849,6 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   subtrees_pruned += other.subtrees_pruned;
   plans_scored += other.plans_scored;
   pruned_by_bound += other.pruned_by_bound;
-  workers_used = std::max(workers_used, other.workers_used);
   rejected_static += other.rejected_static;
   rejected_cycle += other.rejected_cycle;
   rejected_duplicate_view += other.rejected_duplicate_view;
@@ -967,10 +861,8 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   rejected_unroutable += other.rejected_unroutable;
   rejected_node_down += other.rejected_node_down;
   clusters_total += other.clusters_total;
-  clusters_pruned += other.clusters_pruned;
   clusters_refined += other.clusters_refined;
   used_hierarchy = used_hierarchy || other.used_hierarchy;
-  used_chain_dp = used_chain_dp || other.used_chain_dp;
   deadline_hit = deadline_hit || other.deadline_hit;
   return *this;
 }
@@ -979,8 +871,7 @@ std::string SearchStats::to_string() const {
   std::ostringstream oss;
   oss << "examined " << candidates_examined << " candidates, scored "
       << plans_scored << " plan(s), pruned " << pruned_by_bound
-      << " subtree(s) by bound, " << workers_used
-      << " worker(s); rejections:";
+      << " subtree(s) by bound; rejections:";
   const std::pair<const char*, std::uint64_t> rows[] = {
       {"static", rejected_static},
       {"cycle", rejected_cycle},
@@ -1003,9 +894,8 @@ std::string SearchStats::to_string() const {
   if (!any) oss << " none";
   if (used_hierarchy) {
     oss << "; hierarchy: " << clusters_refined << "/" << clusters_total
-        << " cluster(s) refined, " << clusters_pruned << " pruned by bound";
+        << " cluster(s) refined";
   }
-  if (used_chain_dp) oss << "; chain-DP fast path";
   if (deadline_hit) oss << "; DEADLINE HIT (anytime incumbent)";
   return oss.str();
 }
@@ -1068,44 +958,45 @@ std::vector<util::Expected<DeploymentPlan>> Planner::plan_many(
 util::Expected<DeploymentPlan> Planner::plan(
     const PlanRequest& request, const std::vector<ExistingInstance>& existing,
     SearchStats* stats) const {
+  const net::Network& network = env_.network();
   if (spec_.find_interface(request.interface_name) == nullptr) {
     return util::not_found("service '" + spec_.name +
                            "' has no interface named '" +
                            request.interface_name + "'");
   }
   if (!request.client_node.valid() ||
-      request.client_node.value >= env_.network().node_count()) {
+      request.client_node.value >= network.node_count()) {
     return util::invalid_argument("invalid client node");
   }
   if (request.request_rate_rps < 0.0) {
     return util::invalid_argument("negative request rate");
   }
 
-  // A restricted candidate set (plan repair) bypasses the chain-DP and
-  // hierarchical strategies: both assume the whole topology is in play, and
-  // a repair's set is already cluster-sized — flat BnB over it is exact and
-  // cheap.
+  // The work list: candidate node sets, each searched exactly by its own
+  // Search, in order. A repair's restricted set is already cluster-sized,
+  // so it is one item and never hierarchical; a hierarchical plan is one
+  // item per cluster refinement, the client's own cluster first.
+  std::vector<std::vector<net::NodeId>> items;
+  bool hierarchical = false;
   if (!request.candidate_nodes.empty()) {
-    return plan_flat(request, existing, stats);
+    items.push_back(request.candidate_nodes);
+  } else if (request.search_mode == SearchMode::kHierarchical ||
+             (request.search_mode == SearchMode::kAuto &&
+              network.node_count() >= kHierarchyAutoThreshold)) {
+    const ClusterIndex index(
+        network, request.cluster_count == 0
+                     ? ClusterIndex::default_cluster_count(network.node_count())
+                     : request.cluster_count);
+    if (index.num_clusters() >= 2) {
+      hierarchical = true;
+      for (ClusterRefinement& ref :
+           build_refinements(index, request, existing)) {
+        items.push_back(std::move(ref.candidates));
+      }
+    }
   }
+  if (items.empty()) items.push_back(network.all_nodes());
 
-  // CANS chain-DP fast path (paper §3.3's pointer to [13]): answers the
-  // request outright when the request/spec/topology shape allows it.
-  if (auto dp = try_chain_dp(request, existing, stats)) {
-    return std::move(*dp);
-  }
-
-  const bool hierarchical =
-      request.search_mode == SearchMode::kHierarchical ||
-      (request.search_mode == SearchMode::kAuto &&
-       env_.network().node_count() >= kHierarchyAutoThreshold);
-  if (hierarchical) return plan_hierarchical(request, existing, stats);
-  return plan_flat(request, existing, stats);
-}
-
-util::Expected<DeploymentPlan> Planner::plan_flat(
-    const PlanRequest& request, const std::vector<ExistingInstance>& existing,
-    SearchStats* stats) const {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -1113,438 +1004,47 @@ util::Expected<DeploymentPlan> Planner::plan_flat(
                                                  request.deadline_budget)));
   const bool has_deadline = request.deadline_budget > 0.0;
 
-  const std::vector<net::NodeId> all_nodes =
-      request.candidate_nodes.empty() ? env_.network().all_nodes()
-                                      : request.candidate_nodes;
-  const std::vector<EntryBranch> branches =
-      make_entry_branches(iface_index_, request, all_nodes);
-
-  std::size_t workers = request.search_threads == 0
-                            ? util::ThreadPool::default_thread_count()
-                            : request.search_threads;
-  workers = std::min(workers, std::max<std::size_t>(branches.size(), 1));
-
-  SharedIncumbent shared;
+  // Every item shares the incumbent, so an earlier item's plan prunes the
+  // later ones. Only a strictly better plan replaces the best, so ties go to
+  // the earliest item and, within it, the earliest entry candidate.
+  double incumbent = kInfinity;
   SearchStats merged;
   std::optional<DeploymentPlan> best;
   Score best_score;
-  std::size_t best_branch = 0;
-
-  if (workers <= 1) {
-    Search search(spec_, env_, iface_index_, request, existing, shared,
-                  merged, all_nodes, deadline, has_deadline);
-    search.run_branches(branches, 0, 1);
-    best = search.take_best();
-    best_score = search.best_score();
-    best_branch = search.best_branch();
-    merged.workers_used = 1;
-  } else {
-    // Workers read the route cache concurrently; per-row materialization is
-    // thread-safe, so rows fault in on demand instead of paying the full
-    // O(V^2) table up front.
-    struct WorkerOutcome {
-      SearchStats stats;
-      std::optional<DeploymentPlan> plan;
-      Score score;
-      std::size_t branch = 0;
-    };
-    std::vector<WorkerOutcome> outcomes(workers);
-    {
-      util::ThreadPool pool(workers);
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(pool.submit([&, w] {
-          WorkerOutcome& out = outcomes[w];
-          Search search(spec_, env_, iface_index_, request, existing, shared,
-                        out.stats, all_nodes, deadline, has_deadline);
-          search.run_branches(branches, w, workers);
-          out.plan = search.take_best();
-          out.score = search.best_score();
-          out.branch = search.best_branch();
-        }));
-      }
-      for (auto& f : futures) f.get();
-    }
-
-    // Deterministic reduction: lowest (score, entry branch index) wins, so
-    // equal-score plans resolve to the one the serial search would have kept
-    // regardless of worker timing.
-    for (std::size_t w = 0; w < workers; ++w) {
-      merged += outcomes[w].stats;
-      if (!outcomes[w].plan.has_value()) continue;
-      const bool better =
-          !best.has_value() || outcomes[w].score < best_score ||
-          (score_equal(outcomes[w].score, best_score) &&
-           outcomes[w].branch < best_branch);
-      if (better) {
-        best = std::move(outcomes[w].plan);
-        best_score = outcomes[w].score;
-        best_branch = outcomes[w].branch;
-      }
-    }
-    merged.workers_used = workers;
-  }
-
-  if (stats != nullptr) *stats = merged;
-  if (!best) {
-    return util::unsatisfiable(
-        "no deployment of '" + spec_.name + "' satisfies interface '" +
-        request.interface_name + "' from node '" +
-        env_.network().node(request.client_node).name + "'");
-  }
-  return std::move(*best);
-}
-
-std::optional<util::Expected<DeploymentPlan>> Planner::try_chain_dp(
-    const PlanRequest& request, const std::vector<ExistingInstance>& existing,
-    SearchStats* stats) const {
-  // Eligibility: the DP models exactly "new components along a chain, in
-  // path order, entry at the client endpoint, scored by expected latency".
-  // Anything outside that — reuse, client-side property requirements, an
-  // unpinned entry, other objectives — silently falls through to the search.
-  if (!request.chain_dp) return std::nullopt;
-  if (request.objective != Objective::kMinLatency) return std::nullopt;
-  if (!existing.empty()) return std::nullopt;
-  if (!request.required_properties.empty()) return std::nullopt;
-  if (!request.pin_entry_to_client) return std::nullopt;
-  if (request.max_depth < 1) return std::nullopt;
-
-  const net::Network& network = env_.network();
-  const auto path = path_topology_from(network, request.client_node);
-  if (!path) return std::nullopt;
-
-  LinkageOptions lopts;
-  lopts.max_depth = request.max_depth;
-  lopts.max_trees = 64;
-  const std::vector<LinkageTree> trees =
-      enumerate_linkages(spec_, request.interface_name, lopts);
-  if (trees.empty()) return std::nullopt;  // let the search report why
-
-  std::vector<std::vector<const spec::ComponentDef*>> chains;
-  chains.reserve(trees.size());
-  for (const LinkageTree& tree : trees) {
-    if (!tree.is_chain()) return std::nullopt;
-    std::vector<const spec::ComponentDef*> chain = tree.as_chain();
-    for (const spec::ComponentDef* comp : chain) {
-      // Views bring cold-RRF padding and duplicate-on-path rules the DP
-      // does not model; transparent components inherit properties from
-      // downstream; factors bind per-node; rrf > 1 breaks the
-      // order-preserving optimality argument. All → general search.
-      if (comp->is_view() || comp->transparent || comp->static_placement ||
-          !comp->factors.empty() || comp->behaviors.rrf > 1.0) {
-        return std::nullopt;
-      }
-    }
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      for (std::size_t j = i + 1; j < chain.size(); ++j) {
-        if (chain[i] == chain[j]) return std::nullopt;  // cycle-guard parity
-      }
-    }
-    chains.push_back(std::move(chain));
-  }
-
-  ChainPlanOptions copts;
-  copts.request_rate_rps = request.request_rate_rps;
-  copts.pin_first = true;  // == pin_entry_to_client
-  copts.pin_last = false;  // the search does not pin the tail either
-
-  const std::vector<const spec::ComponentDef*>* best_chain = nullptr;
-  ChainPlanResult best_result;
-  std::uint64_t examined = 0;
-  std::uint64_t scored = 0;
-  std::uint64_t rejected_condition = 0;
-  std::uint64_t rejected_node_capacity = 0;
-  std::uint64_t rejected_instance_capacity = 0;
-  for (const auto& chain : chains) {
-    examined += chain.size() * path->size();
-    auto result = plan_chain_dp(spec_, env_, chain, *path, copts);
-    if (!result) continue;
-    rejected_condition += result->rejected_condition;
-    rejected_node_capacity += result->rejected_node_capacity;
-    rejected_instance_capacity += result->rejected_instance_capacity;
-    ++scored;
-    if (best_chain == nullptr ||
-        result->expected_latency_s < best_result.expected_latency_s) {
-      best_chain = &chain;
-      best_result = std::move(*result);
-    }
-  }
-  // No feasible chain: fall through so the search can double-check (it
-  // models co-location load accumulation the DP's feasibility test lacks).
-  if (best_chain == nullptr) return std::nullopt;
-
-  // Materialize the DeploymentPlan the BnB search would have produced for
-  // this assignment.
-  const std::vector<const spec::ComponentDef*>& chain = *best_chain;
-  const std::size_t k = chain.size();
-  DeploymentPlan plan;
-  plan.entry = 0;
-
-  std::vector<double> rate(k, request.request_rate_rps);
-  for (std::size_t i = 1; i < k; ++i) {
-    rate[i] = rate[i - 1] * chain[i - 1]->behaviors.rrf;
-  }
-
-  const auto resolve_literal =
-      [&](const spec::ValueExpr& expr,
-          const spec::Environment& node_env) -> spec::PropertyValue {
-    switch (expr.kind) {
-      case spec::ValueExpr::Kind::kLiteral:
-        return expr.literal;
-      case spec::ValueExpr::Kind::kEnvRef:
-        if (expr.env_scope == spec::EnvScope::kNode) {
-          return node_env.get(expr.ref_name).value_or(spec::PropertyValue());
-        }
-        return {};
-      case spec::ValueExpr::Kind::kFactorRef:  // factors.empty() was checked
-      case spec::ValueExpr::Kind::kAny:
-        return {};
-    }
-    return {};
-  };
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const net::NodeId node = (*path)[best_result.assignment[i]];
-    Placement p;
-    p.id = static_cast<InstanceId>(i);
-    p.component = chain[i];
-    p.node = node;
-    p.inbound_rate_rps = rate[i];
-    const spec::Environment& node_env = env_.node_env(node);
-    for (const spec::LinkageDecl& decl : chain[i]->implements) {
-      const spec::InterfaceDef* iface =
-          spec_.find_interface(decl.interface_name);
-      PSF_CHECK(iface != nullptr);
-      auto& props = p.effective[decl.interface_name];
-      for (const std::string& prop : iface->properties) {
-        if (auto expr = decl.value_of(prop)) {
-          spec::PropertyValue v = resolve_literal(*expr, node_env);
-          if (v.is_set()) props[prop] = std::move(v);
-        }
-      }
-    }
-    plan.placements.push_back(std::move(p));
-  }
-
-  for (std::size_t i = 1; i < k; ++i) {
-    PSF_CHECK(!chain[i - 1]->requires_.empty());
-    plan.wires.push_back(
-        Wire{static_cast<InstanceId>(i - 1),
-             chain[i - 1]->requires_.front().interface_name,
-             static_cast<InstanceId>(i),
-             *network.cached_route(plan.placements[i - 1].node,
-                                   plan.placements[i].node),
-             rate[i]});
-  }
-
-  // Post-validation the DP's per-component feasibility test cannot do:
-  // co-located placements accumulate on node CPU and shared hops accumulate
-  // on links. A violation falls back to the exact search.
-  std::vector<double> node_cpu(network.node_count(), 0.0);
-  std::vector<double> link_bps(network.link_count(), 0.0);
-  for (const Placement& p : plan.placements) {
-    node_cpu[p.node.value] +=
-        p.inbound_rate_rps * p.component->behaviors.cpu_per_request;
-  }
-  for (const Wire& w : plan.wires) {
-    const spec::Behaviors& b = plan.placements[w.server].component->behaviors;
-    const double add_bps =
-        w.rate_rps *
-        static_cast<double>(b.bytes_per_request + b.bytes_per_response) * 8.0;
-    for (net::LinkId lid : w.route.links) link_bps[lid.value] += add_bps;
-  }
-  for (std::uint32_t v = 0; v < network.node_count(); ++v) {
-    if (node_cpu[v] > network.node(net::NodeId{v}).cpu_available()) {
-      return std::nullopt;
-    }
-  }
-  for (std::uint32_t l = 0; l < network.link_count(); ++l) {
-    if (link_bps[l] >
-        network.link(net::LinkId{l}).bandwidth_available_bps()) {
-      return std::nullopt;
-    }
-  }
-
-  // Per-placement expected latency, leaf to root — the same recurrence the
-  // search's sinks evaluate (warm == padded here: no views in the chain).
-  for (std::size_t i = k; i-- > 0;) {
-    Placement& p = plan.placements[i];
-    const double cpu_time_s = p.component->behaviors.cpu_per_request /
-                              network.node(p.node).cpu_capacity;
-    double downstream = 0.0;
-    if (i + 1 < k) {
-      const Wire& w = plan.wires[i];
-      const spec::Behaviors& b =
-          plan.placements[i + 1].component->behaviors;
-      downstream =
-          p.component->behaviors.rrf *
-          (edge_rtt_seconds(network, w.route, b.bytes_per_request,
-                            b.bytes_per_response) +
-           plan.placements[i + 1].expected_latency_s);
-    }
-    p.expected_latency_s = cpu_time_s + downstream;
-  }
-
-  PlanMetrics metrics;
-  metrics.expected_latency_s = plan.placements[0].expected_latency_s;
-  metrics.new_components = k;
-  const net::NodeId origin = request.code_origin.valid()
-                                 ? request.code_origin
-                                 : request.client_node;
-  double headroom = 1.0;
-  for (const Placement& p : plan.placements) {
-    const net::Route* route = network.cached_route(origin, p.node);
-    for (net::LinkId lid : route->links) {
-      const net::Link& link = network.link(lid);
-      metrics.deployment_cost_s +=
-          link.latency.seconds() +
-          static_cast<double>(p.component->behaviors.code_size_bytes) * 8.0 /
-              link.bandwidth_bps;
-    }
-    if (p.component->behaviors.capacity_rps > 0.0) {
-      headroom = std::min(
-          headroom,
-          1.0 - p.inbound_rate_rps / p.component->behaviors.capacity_rps);
-    }
-  }
-  for (std::uint32_t v = 0; v < network.node_count(); ++v) {
-    if (node_cpu[v] <= 0.0) continue;
-    const double u =
-        node_cpu[v] / network.node(net::NodeId{v}).cpu_available();
-    metrics.max_node_utilization = std::max(metrics.max_node_utilization, u);
-    headroom = std::min(headroom, 1.0 - u);
-  }
-  for (std::uint32_t l = 0; l < network.link_count(); ++l) {
-    if (link_bps[l] <= 0.0) continue;
-    const double u =
-        link_bps[l] /
-        network.link(net::LinkId{l}).bandwidth_available_bps();
-    metrics.max_link_utilization = std::max(metrics.max_link_utilization, u);
-    headroom = std::min(headroom, 1.0 - u);
-  }
-  metrics.min_headroom = headroom;
-  plan.metrics = metrics;
-
-  if (stats != nullptr) {
-    *stats = SearchStats{};
-    stats->used_chain_dp = true;
-    stats->candidates_examined = examined;
-    stats->plans_scored = scored;
-    stats->rejected_condition = rejected_condition;
-    stats->rejected_node_capacity = rejected_node_capacity;
-    stats->rejected_instance_capacity = rejected_instance_capacity;
-    stats->workers_used = 1;
-  }
-  return util::Expected<DeploymentPlan>(std::move(plan));
-}
-
-util::Expected<DeploymentPlan> Planner::plan_hierarchical(
-    const PlanRequest& request, const std::vector<ExistingInstance>& existing,
-    SearchStats* stats) const {
-  const net::Network& network = env_.network();
-  const std::size_t n = network.node_count();
-  const std::size_t k = request.cluster_count == 0
-                            ? ClusterIndex::default_cluster_count(n)
-                            : request.cluster_count;
-  const ClusterIndex index(network, k);
-  if (index.num_clusters() < 2) return plan_flat(request, existing, stats);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0,
-                                                 request.deadline_budget)));
-  const bool has_deadline = request.deadline_budget > 0.0;
-
-  const std::vector<ClusterRefinement> refinements =
-      build_refinements(index, spec_, request, existing);
-
-  SharedIncumbent shared;
-  struct RefinementOutcome {
-    SearchStats stats;
-    std::optional<DeploymentPlan> plan;
-    Score score;
-    std::size_t branch = 0;
-  };
-  std::vector<RefinementOutcome> outcomes(refinements.size());
-  std::atomic<std::uint64_t> pruned{0};
-  std::atomic<std::uint64_t> refined{0};
-  std::atomic<bool> deadline_hit{false};
-
-  const auto run_refinement = [&](std::size_t r) {
-    const ClusterRefinement& ref = refinements[r];
-    RefinementOutcome& out = outcomes[r];
-    const double inc = shared.load();
-    // Cluster-level bound: plans unique to this refinement score at least
-    // ref.lower_bound; skipping it when that exceeds the incumbent (same
-    // strict margin as the in-search bound) can only drop dominated plans.
-    if (request.bound_pruning && inc < kInfinity &&
-        ref.lower_bound > inc + 1e-9 * std::max(1.0, std::abs(inc))) {
-      pruned.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (has_deadline && inc < kInfinity &&
+  std::size_t searched = 0;
+  for (const std::vector<net::NodeId>& nodes : items) {
+    if (has_deadline && incumbent < kInfinity &&
         std::chrono::steady_clock::now() >= deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return;
+      merged.deadline_hit = true;
+      break;
     }
-    refined.fetch_add(1, std::memory_order_relaxed);
-    Search search(spec_, env_, iface_index_, request, existing, shared,
-                  out.stats, ref.candidates, deadline, has_deadline);
-    search.run_branches(make_entry_branches(iface_index_, request,
-                                            ref.candidates),
-                        0, 1);
-    out.plan = search.take_best();
-    out.score = search.best_score();
-    out.branch = search.best_branch();
-  };
-
-  std::size_t workers = request.search_threads == 0
-                            ? util::ThreadPool::default_thread_count()
-                            : request.search_threads;
-  workers = std::min(workers, std::max<std::size_t>(refinements.size(), 1));
-
-  if (workers <= 1) {
-    for (std::size_t r = 0; r < refinements.size(); ++r) run_refinement(r);
-  } else {
-    // Rank 0 (the client's own cluster, lower bound 0) runs first so its
-    // incumbent prunes the fan-out; the remaining refinements go wide.
-    run_refinement(0);
-    util::ThreadPool pool(workers);
-    pool.parallel_for(refinements.size() - 1,
-                      [&](std::size_t i) { run_refinement(i + 1); });
-  }
-
-  // Deterministic reduction: refinements are rank-ordered, so iterating in
-  // rank order and replacing only on strictly-better scores keeps, among
-  // ties, the lowest (rank, entry branch) — independent of worker timing.
-  SearchStats merged;
-  std::optional<DeploymentPlan> best;
-  Score best_score;
-  for (std::size_t r = 0; r < refinements.size(); ++r) {
-    merged += outcomes[r].stats;
-    if (!outcomes[r].plan.has_value()) continue;
-    if (!best.has_value() || outcomes[r].score < best_score) {
-      best = std::move(outcomes[r].plan);
-      best_score = outcomes[r].score;
+    ++searched;
+    Search search(spec_, env_, iface_index_, request, existing, incumbent,
+                  merged, nodes, deadline, has_deadline);
+    search.run();
+    std::optional<DeploymentPlan> plan = search.take_best();
+    if (plan && (!best || search.best_score() < best_score)) {
+      best = std::move(plan);
+      best_score = search.best_score();
     }
   }
-  merged.workers_used = workers;
-  merged.used_hierarchy = true;
-  merged.clusters_total = refinements.size();
-  merged.clusters_pruned = pruned.load(std::memory_order_relaxed);
-  merged.clusters_refined = refined.load(std::memory_order_relaxed);
-  merged.deadline_hit =
-      merged.deadline_hit || deadline_hit.load(std::memory_order_relaxed);
+  if (hierarchical) {
+    merged.used_hierarchy = true;
+    merged.clusters_total = items.size();
+    merged.clusters_refined = searched;
+  }
 
   if (stats != nullptr) *stats = merged;
   if (!best) {
-    return util::unsatisfiable(
-        "no deployment of '" + spec_.name + "' satisfies interface '" +
-        request.interface_name + "' from node '" +
-        network.node(request.client_node).name + "' (hierarchical search, " +
-        std::to_string(refinements.size()) + " clusters)");
+    std::string why = "no deployment of '" + spec_.name +
+                      "' satisfies interface '" + request.interface_name +
+                      "' from node '" +
+                      network.node(request.client_node).name + "'";
+    if (hierarchical) {
+      why += " (hierarchical search, " + std::to_string(items.size()) +
+             " clusters)";
+    }
+    return util::unsatisfiable(why);
   }
   return std::move(*best);
 }

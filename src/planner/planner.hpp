@@ -22,9 +22,7 @@
 // case study.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,18 +49,18 @@ enum class Objective { kMinLatency, kMinDeploymentCost, kMaxCapacity };
 
 const char* objective_name(Objective o);
 
-// How the mapping search traverses the topology.
+// How the mapping search traverses the topology. Both modes run the same
+// serial branch-and-bound; they differ only in the candidate node sets it
+// is run over.
 //
-//   kFlat          — PR 1 branch-and-bound over every node (exact).
+//   kFlat          — one search over every node (exact).
 //   kHierarchical  — two-level search: partition the topology into ~sqrt(n)
 //                    clusters (ClusterIndex), search the client's cluster
-//                    first (quotient rank 0, lower bound 0 — its result
-//                    seeds the shared incumbent), then refine the remaining
-//                    clusters in quotient lower-bound order, each restricted
+//                    first (its result seeds the shared incumbent), then
+//                    refine the remaining clusters in ascending quotient
+//                    latency from the client's cluster, each restricted
 //                    to its own members + the client cluster + the border
 //                    nodes along the quotient path + existing instances.
-//                    Clusters whose admissible quotient bound exceeds the
-//                    incumbent are pruned without being searched.
 //                    Heuristic: exact within every refinement, but a plan
 //                    spanning two non-client clusters that are not on each
 //                    other's quotient path is out of reach (measured gap
@@ -107,12 +105,6 @@ struct PlanRequest {
   // while still preferring a *local* new cache over a remote warm one when
   // the WAN savings dominate.
   double cold_view_penalty = 0.1;
-  // Branch-and-bound workers fanned out over the entry-level candidate set
-  // (component × node at depth 1). 1 = serial search (default), 0 = one
-  // worker per hardware thread. Workers share the incumbent score, so the
-  // result is bit-identical to the serial search at any worker count; see
-  // DESIGN.md "Planner search strategy".
-  std::size_t search_threads = 1;
   // Admissible lower-bound pruning of the mapping search. Disabling it never
   // changes the returned plan, only the search cost — the toggle exists for
   // benchmarks and for isolating planner bugs from pruning bugs.
@@ -121,13 +113,6 @@ struct PlanRequest {
   SearchMode search_mode = SearchMode::kAuto;
   // Cluster count for hierarchical search; 0 = ~sqrt(node_count).
   std::size_t cluster_count = 0;
-  // Auto-detected CANS dynamic-programming fast path: when the linkage
-  // graph is a pure chain, the topology is a path with the client at an
-  // endpoint, and no reuse/property/view machinery is in play, the O(k*m^2)
-  // DP (dp_chain.hpp) replaces the exponential mapping search and returns
-  // the same optimal chain. Opt-out toggle for benchmarks and equivalence
-  // tests; ineligible requests silently fall through to the search.
-  bool chain_dp = true;
   // Restricts where NEW components may be placed. Empty = every node (the
   // normal case). Plan repair populates this with the surviving placement
   // nodes plus the affected cluster's members so the search touches only the
@@ -154,8 +139,6 @@ struct SearchStats {
   // Subtrees cut because the admissible lower bound of every completion was
   // already worse than the incumbent plan's score.
   std::uint64_t pruned_by_bound = 0;
-  // Search workers that explored the entry-level fan-out (1 = serial).
-  std::uint64_t workers_used = 1;
 
   // Rejection breakdown — why candidates fell out of the search. The
   // dominant cause is the first place to look when a request comes back
@@ -175,18 +158,13 @@ struct SearchStats {
 
   // Hierarchical-search breakdown (zero for flat searches).
   std::uint64_t clusters_total = 0;    // refinements scheduled
-  std::uint64_t clusters_pruned = 0;   // skipped: quotient bound > incumbent
-  std::uint64_t clusters_refined = 0;  // actually searched
+  std::uint64_t clusters_refined = 0;  // searched before any deadline
   bool used_hierarchy = false;
-  // The chain-DP fast path answered this request (no tree search ran).
-  bool used_chain_dp = false;
   // The anytime deadline truncated the search; the returned plan is the
   // best incumbent, not necessarily the optimum.
   bool deadline_hit = false;
 
-  // Merges another worker's stats into this one: counters add, flags OR,
-  // workers_used keeps the maximum (the coordinator overwrites it with the
-  // actual fan-out after merging).
+  // Merges another search's stats into this one: counters add, flags OR.
   SearchStats& operator+=(const SearchStats& other);
 
   std::string to_string() const;
@@ -268,17 +246,6 @@ class Planner {
   const EnvironmentView& environment() const { return env_; }
 
  private:
-  util::Expected<DeploymentPlan> plan_flat(
-      const PlanRequest& request,
-      const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
-  util::Expected<DeploymentPlan> plan_hierarchical(
-      const PlanRequest& request,
-      const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
-  // nullopt = request not chain-DP eligible (fall through to the search).
-  std::optional<util::Expected<DeploymentPlan>> try_chain_dp(
-      const PlanRequest& request,
-      const std::vector<ExistingInstance>& existing, SearchStats* stats) const;
-
   const spec::ServiceSpec& spec_;
   const EnvironmentView& env_;
   // interface → implementing components, built once so the search does not

@@ -184,8 +184,7 @@ util::Expected<DeploymentPlan> Planner::repair(
 
   // Restricted search came up empty — fall back to a full replan, still
   // excluding violation nodes. With nothing excluded the candidate list is
-  // cleared entirely so the hierarchical / chain-DP strategies stay
-  // available at scale.
+  // cleared entirely so hierarchical search stays available at scale.
   PlanRequest full = request;
   full.candidate_nodes.clear();
   for (std::uint32_t v = 0; v < node_count; ++v) {

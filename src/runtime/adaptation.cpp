@@ -296,23 +296,43 @@ void AdaptationController::cutover(std::size_t index, AccessOutcome fresh,
   };
   auto batch = std::make_shared<TransferBatch>(
       TransferBatch{pairs.size(), std::move(fresh), std::move(event)});
-  for (const auto& [old_id, new_id] : pairs) {
+  // Wires swing only once every pair's state has landed, whichever cutover
+  // moved it.
+  const auto settle_one = [this, index, batch] {
+    if (--batch->remaining == 0) {
+      finish_cutover(index, std::move(batch->fresh), std::move(batch->event));
+    }
+  };
+  for (const auto& pair : pairs) {
+    const auto [it, first_mover] = state_moves_.try_emplace(pair);
+    if (!first_mover) {
+      if (it->second.done) {
+        settle_one();
+      } else {
+        it->second.waiters.push_back(settle_one);
+      }
+      continue;
+    }
     runtime_.transfer_state(
-        old_id, new_id, [this, index, old_id, batch](util::Status st) {
+        pair.first, pair.second,
+        [this, pair, batch, settle_one](util::Status st) {
           if (st.is_ok()) {
             ++stats_.state_transfers;
             ++batch->event.state_transfers;
           } else {
             // Cold replacement: correct but unwarmed — coherence pushes
             // rebuild the cache over time.
-            PSF_WARN() << "adaptation: state transfer from " << old_id
+            PSF_WARN() << "adaptation: state transfer from " << pair.first
                        << " failed (" << st.to_string()
                        << "); replacement starts cold";
           }
-          if (--batch->remaining == 0) {
-            finish_cutover(index, std::move(batch->fresh),
-                           std::move(batch->event));
+          std::vector<std::function<void()>> waiters;
+          if (auto move = state_moves_.find(pair); move != state_moves_.end()) {
+            move->second.done = true;
+            waiters.swap(move->second.waiters);
           }
+          settle_one();
+          for (const auto& wake : waiters) wake();
         });
   }
 }
@@ -445,10 +465,11 @@ void AdaptationController::drain_node(net::NodeId node) {
 void AdaptationController::repair_settled(std::size_t index) {
   repairing_[index] = 0;
   // With no repair in flight, no pending cutover can name a retired
-  // template any more.
+  // template or wait on a state move any more.
   if (std::none_of(repairing_.begin(), repairing_.end(),
                    [](char r) { return r != 0; })) {
     retired_template_wires_.clear();
+    state_moves_.clear();
   }
 }
 

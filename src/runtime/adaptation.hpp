@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -162,6 +163,16 @@ class AdaptationController {
   // repair is in flight.
   std::map<RuntimeInstanceId, std::map<std::string, RuntimeInstanceId>>
       retired_template_wires_;
+  // State moves started by a cutover, keyed by (old, new) instance.
+  // Coalesced cutovers that share a fresh chain move each pair once: a
+  // later cutover waits for the first one's move instead of repeating it.
+  // Dropped whenever no repair is in flight.
+  struct StateMove {
+    bool done = false;
+    std::vector<std::function<void()>> waiters;  // run when the move settles
+  };
+  std::map<std::pair<RuntimeInstanceId, RuntimeInstanceId>, StateMove>
+      state_moves_;
   std::set<std::uint32_t> drained_;
   std::vector<AdaptationEvent> events_;
   AdaptationStats stats_;

@@ -61,17 +61,17 @@ std::uint64_t plan_rate_bucket(double rps);
 
 // Canonical fingerprint of the plan-affecting request fields. Property
 // requirements are sorted, so declaration order does not split the cache.
-// search_threads and bound_pruning are deliberately excluded: the planner's
-// result is bit-identical regardless of either (see DESIGN.md "Planner
-// search strategy"). search_mode, cluster_count, chain_dp and
-// deadline_budget are excluded too: they change how hard the planner works,
-// not what the request asks for — a deadline-truncated entry is later
-// hot-swapped toward the full-search plan by the background improver
+// bound_pruning is deliberately excluded: the planner's result is
+// bit-identical with or without it (see DESIGN.md "Planner search
+// strategy"). search_mode, cluster_count and deadline_budget are excluded
+// too: they change how hard the planner works, not what the request asks
+// for — a deadline-truncated entry is later hot-swapped toward the
+// full-search plan by the background improver
 // (GenericServer::drain_improvements), under the same epoch discipline that
-// keeps every other entry honest. The principal is represented by its translated
-// properties, which the generic server merges into required_properties
-// before fingerprinting — two principals with the same derived requirements
-// share an entry.
+// keeps every other entry honest. The principal is represented by its
+// translated properties, which the generic server merges into
+// required_properties before fingerprinting — two principals with the same
+// derived requirements share an entry.
 std::string plan_fingerprint(const planner::PlanRequest& request);
 
 // What a hit replays: the plan and the runtime instances backing each

@@ -309,6 +309,9 @@ TEST_F(AdaptationControllerFixture,
 
   EXPECT_EQ(ctl->stats().failed, 0u);
   EXPECT_EQ(ctl->stats().repaired, 2u);
+  // Both cutovers share one fresh chain, so each of its two (old, new)
+  // state pairs moves once, not once per cutover.
+  EXPECT_EQ(ctl->stats().state_transfers, 2u);
   for (const std::size_t index : {i0, i1}) {
     const auto [view, node] = tracked_view(index);
     ASSERT_NE(view, 0u);

@@ -249,9 +249,9 @@ TEST(DpChainTest, SingleNodePathColocatesEverything) {
 }
 
 TEST(DpChainTest, AgreesWithExhaustivePlannerOnPathNetworks) {
-  // On a pure path network with a chain-shaped spec, both planners must find
-  // mappings with identical expected latency (the exhaustive planner adds
-  // CPU cost of the entry hop identically).
+  // On a pure path network with a chain-shaped spec, the planner's
+  // branch-and-bound search and the DP score placements with the same
+  // latency model (CPU time plus RRF-discounted round trips).
   PathWorld world(4);
   auto translator = trust_translator();
   EnvironmentView env(world.network, translator);
@@ -265,9 +265,8 @@ TEST(DpChainTest, AgreesWithExhaustivePlannerOnPathNetworks) {
   request.interface_name = "Entry";
   request.client_node = world.path.front();
   request.cold_view_penalty = 0.0;  // chain spec has no views anyway
-  // Pin Origin to the last node via an existing instance? Not needed: give
-  // the exhaustive planner the same degrees of freedom minus pinning, so it
-  // may only do better than the DP's pinned-endpoints answer.
+  // The DP pins Origin to the last node; the search may place it anywhere,
+  // so it can only match or beat the DP's pinned-endpoints answer.
   auto ex = planner.plan(request);
   ASSERT_TRUE(ex.has_value());
   EXPECT_LE(ex->metrics.expected_latency_s, dp->expected_latency_s + 1e-12);

@@ -93,10 +93,9 @@ TEST(PlanFingerprintTest, PropertyOrderDoesNotSplitTheCache) {
   b.request_rate_rps = 300.0;
   EXPECT_NE(runtime::plan_fingerprint(a), runtime::plan_fingerprint(b));
 
-  // Search shape never affects the planner's result, so it must not split
+  // Bound pruning never affects the planner's result, so it must not split
   // the cache either.
   b = a;
-  b.search_threads = 8;
   b.bound_pruning = false;
   EXPECT_EQ(runtime::plan_fingerprint(a), runtime::plan_fingerprint(b));
 }

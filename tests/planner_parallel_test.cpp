@@ -1,248 +1,111 @@
-// Parallel branch-and-bound planner: the parallel search must return plans
-// identical to the serial exhaustive search (same placements, same wires,
-// same metrics) for every objective, with or without bound pruning — the
-// bound and the fan-out are pure search accelerations, never result changes.
+// The planner's concurrent entry point: Planner::plan_many runs independent
+// plan() calls on a thread pool, all reading one Planner and faulting in the
+// network's lazy route rows from several threads at once. Its results must
+// equal serial plan() calls exactly — same placements, wires and metrics,
+// same error for an unsatisfiable request — at every thread count, with or
+// without bound pruning, on every objective. Run under TSan by
+// tools/check.sh and the CI tsan job.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <string>
+#include <vector>
 
-#include "mail/mail_spec.hpp"
-#include "net/topology.hpp"
 #include "planner/planner.hpp"
+#include "waxman_world.hpp"
 
+namespace psf {
 namespace {
 
-using namespace psf;
-
-// The mail service on a seeded Waxman topology — the same world as the
-// planner scaling benchmark, shrunk to test-friendly sizes.
-struct WaxmanWorld {
-  net::Network network;
-  spec::ServiceSpec spec;
-  std::shared_ptr<planner::CredentialMapTranslator> translator;
-  std::unique_ptr<planner::EnvironmentView> env;
-  std::unique_ptr<planner::Planner> planner;
-  std::vector<planner::ExistingInstance> existing;
-
-  WaxmanWorld(std::size_t num_nodes, std::uint64_t seed) {
-    net::WaxmanParams params;
-    params.num_nodes = num_nodes;
-    util::Rng rng(seed);
-    network = net::generate_waxman(params, rng);
-    for (net::NodeId id : network.all_nodes()) {
-      network.node(id).credentials.set(
-          "trust", static_cast<std::int64_t>(2 + id.value % 3));
-      network.node(id).credentials.set("secure", true);
-    }
-    network.node(net::NodeId{0}).credentials.set("trust", std::int64_t{5});
-    for (net::LinkId id : network.all_links()) {
-      network.link(id).credentials.set("secure", (id.value % 3) != 0);
-    }
-
-    spec = mail::mail_service_spec();
-    translator = mail::mail_translator();
-    env = std::make_unique<planner::EnvironmentView>(network, *translator);
-    planner = std::make_unique<planner::Planner>(spec, *env);
-
-    planner::ExistingInstance home;
-    home.runtime_id = 1;
-    home.component = spec.find_component("MailServer");
-    home.node = net::NodeId{0};
-    home.effective["ServerInterface"]["Confidentiality"] =
-        spec::PropertyValue::boolean(true);
-    home.effective["ServerInterface"]["TrustLevel"] =
-        spec::PropertyValue::integer(5);
-    home.downstream_latency_s = 1e-4;
-    existing.push_back(home);
-  }
-
-  planner::PlanRequest request(planner::Objective objective) const {
-    planner::PlanRequest req;
-    req.interface_name = "ClientInterface";
-    req.required_properties.emplace_back("TrustLevel",
-                                         spec::PropertyValue::integer(2));
-    req.client_node =
-        net::NodeId{static_cast<std::uint32_t>(network.node_count() - 1)};
-    req.max_depth = 4;
-    req.objective = objective;
-    return req;
-  }
-};
-
-std::string describe_plan(const planner::DeploymentPlan& plan) {
-  std::ostringstream oss;
-  oss << "entry=" << plan.entry << "\n";
-  for (const planner::Placement& p : plan.placements) {
-    oss << "placement " << p.id << " " << p.component->name << "@"
-        << p.node.value << " factors=" << p.factors.to_string()
-        << " rate=" << p.inbound_rate_rps << " reuse=" << p.reuse_existing
-        << "/" << p.existing_runtime_id << "\n";
-  }
-  for (const planner::Wire& w : plan.wires) {
-    oss << "wire " << w.client << " -[" << w.interface_name << "]-> "
-        << w.server << " rate=" << w.rate_rps << " hops=" << w.route.links.size()
-        << "\n";
-  }
-  return oss.str();
-}
-
-// Exact structural equality: the parallel search promises bit-identical
-// plans, so latency/cost compare with == rather than tolerances.
-void expect_same_plan(const planner::DeploymentPlan& a,
-                      const planner::DeploymentPlan& b,
-                      const std::string& label) {
-  EXPECT_EQ(describe_plan(a), describe_plan(b)) << label;
-  EXPECT_EQ(a.metrics.expected_latency_s, b.metrics.expected_latency_s)
-      << label;
-  EXPECT_EQ(a.metrics.deployment_cost_s, b.metrics.deployment_cost_s)
-      << label;
-  EXPECT_EQ(a.metrics.new_components, b.metrics.new_components) << label;
-  EXPECT_EQ(a.metrics.reused_components, b.metrics.reused_components)
-      << label;
-  EXPECT_EQ(a.metrics.min_headroom, b.metrics.min_headroom) << label;
-}
+using test::expect_same_plan;
+using test::WaxmanWorld;
 
 constexpr planner::Objective kObjectives[] = {
     planner::Objective::kMinLatency, planner::Objective::kMinDeploymentCost,
     planner::Objective::kMaxCapacity};
 
-TEST(PlannerParallelTest, ParallelEqualsSerialOnEveryObjective) {
-  for (std::uint64_t seed : {2026ull, 7ull, 99ull}) {
-    WaxmanWorld world(10, seed);
+// One request per (client node, objective, required TrustLevel). On the
+// 12-node world TrustLevel 2 is satisfiable from every client, 3 from some
+// and 5 from none, so a batch mixes plans with unsatisfiable errors and a
+// result landing in the wrong slot shows.
+std::vector<planner::PlanRequest> every_client_objective_and_trust(
+    const WaxmanWorld& world, bool bound_pruning) {
+  std::vector<planner::PlanRequest> requests;
+  for (net::NodeId client : world.network.all_nodes()) {
     for (planner::Objective objective : kObjectives) {
-      planner::PlanRequest serial = world.request(objective);
-      serial.search_threads = 1;
+      for (std::int64_t trust : {2, 3, 5}) {
+        planner::PlanRequest request = world.request_from(client, objective);
+        request.required_properties.front().second =
+            spec::PropertyValue::integer(trust);
+        request.bound_pruning = bound_pruning;
+        requests.push_back(request);
+      }
+    }
+  }
+  return requests;
+}
 
-      planner::PlanRequest parallel = serial;
-      parallel.search_threads = 4;
+void expect_same_result(const util::Expected<planner::DeploymentPlan>& a,
+                        const util::Expected<planner::DeploymentPlan>& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << label;
+  if (a.has_value()) {
+    expect_same_plan(*a, *b, label);
+  } else {
+    EXPECT_EQ(a.status().to_string(), b.status().to_string()) << label;
+  }
+}
 
-      planner::SearchStats serial_stats, parallel_stats;
-      auto a = world.planner->plan(serial, world.existing, &serial_stats);
-      auto b = world.planner->plan(parallel, world.existing, &parallel_stats);
+TEST(PlannerParallelTest, PlanManyEqualsSerialPlanAtEveryThreadCount) {
+  constexpr std::size_t kNodes = 12;
+  constexpr std::uint64_t kSeed = 2026;
+  for (bool bound_pruning : {true, false}) {
+    // Serial reference on its own world, so each plan_many run below starts
+    // from cold route rows and the pool threads fault them in concurrently.
+    WaxmanWorld reference(kNodes, kSeed);
+    const auto requests = every_client_objective_and_trust(reference, bound_pruning);
+    std::vector<util::Expected<planner::DeploymentPlan>> serial;
+    for (const planner::PlanRequest& request : requests) {
+      serial.push_back(reference.planner->plan(request, reference.existing));
+    }
+    std::size_t planned = 0;
+    for (const auto& result : serial) planned += result.has_value() ? 1 : 0;
+    ASSERT_GT(planned, 0u) << "every request unsatisfiable";
+    ASSERT_LT(planned, serial.size()) << "no unsatisfiable request";
 
-      const std::string label = "seed=" + std::to_string(seed) +
-                                " objective=" +
-                                planner::objective_name(objective);
-      ASSERT_EQ(a.has_value(), b.has_value()) << label;
-      if (!a.has_value()) continue;
-      expect_same_plan(*a, *b, label);
-      EXPECT_EQ(serial_stats.workers_used, 1u) << label;
-      // Workers clamp to the entry-branch count (2 implementing components
-      // at the pinned client node), so 4 requested threads run as 2 workers.
-      EXPECT_GT(parallel_stats.workers_used, 1u) << label;
-      EXPECT_LE(parallel_stats.workers_used, 4u) << label;
+    // 0 = hardware concurrency (capped at the request count).
+    for (std::size_t threads : {1u, 2u, 4u, 0u}) {
+      WaxmanWorld world(kNodes, kSeed);
+      auto parallel =
+          world.planner->plan_many(requests, world.existing, threads);
+      ASSERT_EQ(parallel.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        expect_same_result(
+            parallel[i], serial[i],
+            "threads=" + std::to_string(threads) +
+                " bound_pruning=" + std::to_string(bound_pruning) +
+                " client=" + std::to_string(requests[i].client_node.value) +
+                " trust=" +
+                requests[i].required_properties.front().second.to_string() +
+                " objective=" +
+                planner::objective_name(requests[i].objective));
+      }
     }
   }
 }
 
-TEST(PlannerParallelTest, BoundPruningDoesNotChangeThePlan) {
-  for (std::uint64_t seed : {2026ull, 7ull}) {
-    WaxmanWorld world(10, seed);
-    for (planner::Objective objective : kObjectives) {
-      planner::PlanRequest pruned = world.request(objective);
-      pruned.bound_pruning = true;
-
-      planner::PlanRequest exhaustive = world.request(objective);
-      exhaustive.bound_pruning = false;
-
-      planner::SearchStats pruned_stats, exhaustive_stats;
-      auto a = world.planner->plan(pruned, world.existing, &pruned_stats);
-      auto b =
-          world.planner->plan(exhaustive, world.existing, &exhaustive_stats);
-
-      const std::string label = "seed=" + std::to_string(seed) +
-                                " objective=" +
-                                planner::objective_name(objective);
-      ASSERT_EQ(a.has_value(), b.has_value()) << label;
-      if (!a.has_value()) continue;
-      expect_same_plan(*a, *b, label);
-      EXPECT_EQ(exhaustive_stats.pruned_by_bound, 0u) << label;
-      // Pruning must make the search cheaper, never costlier.
-      EXPECT_LE(pruned_stats.candidates_examined,
-                exhaustive_stats.candidates_examined)
-          << label;
-    }
+TEST(PlannerParallelTest, RepeatedPlanManyOnOneWarmPlannerIsStable) {
+  // A second batch on the same Planner reads route rows the first batch
+  // materialized; it must not see anything the first left behind.
+  WaxmanWorld world(10, 7);
+  const auto requests = every_client_objective_and_trust(world, true);
+  auto first = world.planner->plan_many(requests, world.existing, 4);
+  auto second = world.planner->plan_many(requests, world.existing, 4);
+  ASSERT_EQ(first.size(), requests.size());
+  ASSERT_EQ(second.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_same_result(first[i], second[i], "request " + std::to_string(i));
   }
-}
-
-TEST(PlannerParallelTest, ParallelBoundedEqualsSerialExhaustive) {
-  // The strongest cross-check: all accelerations on vs all accelerations
-  // off must still agree exactly.
-  WaxmanWorld world(12, 2026);
-  planner::PlanRequest fast = world.request(planner::Objective::kMinLatency);
-  fast.search_threads = 4;
-  fast.bound_pruning = true;
-
-  planner::PlanRequest slow = world.request(planner::Objective::kMinLatency);
-  slow.search_threads = 1;
-  slow.bound_pruning = false;
-
-  auto a = world.planner->plan(fast, world.existing);
-  auto b = world.planner->plan(slow, world.existing);
-  ASSERT_TRUE(a.has_value()) << a.status().to_string();
-  ASSERT_TRUE(b.has_value()) << b.status().to_string();
-  expect_same_plan(*a, *b, "fast-vs-slow");
-}
-
-TEST(PlannerParallelTest, BoundActuallyPrunes) {
-  // On a topology large enough to have many dominated placements the bound
-  // must cut a non-trivial part of the search.
-  WaxmanWorld world(12, 2026);
-  planner::PlanRequest request =
-      world.request(planner::Objective::kMinLatency);
-  planner::SearchStats stats;
-  auto plan = world.planner->plan(request, world.existing, &stats);
-  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  EXPECT_GT(stats.pruned_by_bound, 0u);
-}
-
-TEST(PlannerParallelTest, StatsMergeAddsCountersAndReportsWorkers) {
-  planner::SearchStats a;
-  a.candidates_examined = 10;
-  a.plans_scored = 2;
-  a.pruned_by_bound = 3;
-  a.workers_used = 1;
-  a.rejected_condition = 4;
-  a.rejected_unroutable = 1;
-
-  planner::SearchStats b;
-  b.candidates_examined = 5;
-  b.plans_scored = 1;
-  b.pruned_by_bound = 2;
-  b.workers_used = 2;
-  b.rejected_condition = 1;
-  b.rejected_link_capacity = 7;
-
-  a += b;
-  EXPECT_EQ(a.candidates_examined, 15u);
-  EXPECT_EQ(a.plans_scored, 3u);
-  EXPECT_EQ(a.pruned_by_bound, 5u);
-  EXPECT_EQ(a.workers_used, 2u);
-  EXPECT_EQ(a.rejected_condition, 5u);
-  EXPECT_EQ(a.rejected_unroutable, 1u);
-  EXPECT_EQ(a.rejected_link_capacity, 7u);
-
-  const std::string text = a.to_string();
-  EXPECT_NE(text.find("pruned 5"), std::string::npos) << text;
-  EXPECT_NE(text.find("2 worker(s)"), std::string::npos) << text;
-  EXPECT_NE(text.find("condition=5"), std::string::npos) << text;
-}
-
-TEST(PlannerParallelTest, ZeroThreadsMeansHardwareConcurrency) {
-  WaxmanWorld world(8, 2026);
-  planner::PlanRequest request =
-      world.request(planner::Objective::kMinLatency);
-  request.search_threads = 0;  // resolves to >= 1 worker
-  planner::SearchStats stats;
-  auto plan = world.planner->plan(request, world.existing, &stats);
-  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  EXPECT_GE(stats.workers_used, 1u);
-
-  planner::PlanRequest serial = world.request(planner::Objective::kMinLatency);
-  auto reference = world.planner->plan(serial, world.existing);
-  ASSERT_TRUE(reference.has_value());
-  expect_same_plan(*plan, *reference, "auto-threads");
 }
 
 }  // namespace
+}  // namespace psf

@@ -1,10 +1,12 @@
 // Planner tests: the three §3.3 constraint classes, factor binding,
 // transparent pass-through, objectives, and reuse of existing instances —
-// on small synthetic services where the right answer is obvious.
+// on small synthetic services where the right answer is obvious — plus
+// bound pruning checked against the exhaustive search on the mail service.
 #include <gtest/gtest.h>
 
 #include "planner/planner.hpp"
 #include "spec/builder.hpp"
+#include "waxman_world.hpp"
 
 namespace psf {
 namespace {
@@ -523,6 +525,90 @@ TEST(PlannerTest, MinCostObjectivePrefersFewerComponents) {
   EXPECT_GT(latency_plan->placements.size(), cost_plan->placements.size());
   EXPECT_LT(latency_plan->metrics.expected_latency_s,
             cost_plan->metrics.expected_latency_s);
+}
+
+// ---- Bound pruning on the mail service over Waxman topologies -------------
+
+using test::expect_same_plan;
+using test::WaxmanWorld;
+
+TEST(PlannerBoundTest, BoundPruningDoesNotChangeThePlan) {
+  struct Case {
+    std::size_t nodes;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{10, 2026}, Case{10, 7}, Case{12, 2026}}) {
+    WaxmanWorld world(c.nodes, c.seed);
+    for (Objective objective :
+         {Objective::kMinLatency, Objective::kMinDeploymentCost,
+          Objective::kMaxCapacity}) {
+      PlanRequest pruned = world.request(objective);
+      pruned.bound_pruning = true;
+
+      PlanRequest exhaustive = world.request(objective);
+      exhaustive.bound_pruning = false;
+
+      planner::SearchStats pruned_stats, exhaustive_stats;
+      auto a = world.planner->plan(pruned, world.existing, &pruned_stats);
+      auto b =
+          world.planner->plan(exhaustive, world.existing, &exhaustive_stats);
+
+      const std::string label = "nodes=" + std::to_string(c.nodes) +
+                                " seed=" + std::to_string(c.seed) +
+                                " objective=" +
+                                planner::objective_name(objective);
+      ASSERT_EQ(a.has_value(), b.has_value()) << label;
+      if (!a.has_value()) continue;
+      expect_same_plan(*a, *b, label);
+      EXPECT_EQ(exhaustive_stats.pruned_by_bound, 0u) << label;
+      // Pruning must make the search cheaper, never costlier.
+      EXPECT_LE(pruned_stats.candidates_examined,
+                exhaustive_stats.candidates_examined)
+          << label;
+    }
+  }
+}
+
+TEST(PlannerBoundTest, BoundActuallyPrunes) {
+  // On a topology large enough to have many dominated placements the bound
+  // must cut a non-trivial part of the search.
+  WaxmanWorld world(12, 2026);
+  planner::SearchStats stats;
+  auto plan = world.planner->plan(world.request(Objective::kMinLatency),
+                                  world.existing, &stats);
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  EXPECT_GT(stats.pruned_by_bound, 0u);
+}
+
+TEST(PlannerBoundTest, StatsMergeAddsCounters) {
+  planner::SearchStats a;
+  a.candidates_examined = 10;
+  a.plans_scored = 2;
+  a.pruned_by_bound = 3;
+  a.rejected_condition = 4;
+  a.rejected_unroutable = 1;
+
+  planner::SearchStats b;
+  b.candidates_examined = 5;
+  b.plans_scored = 1;
+  b.pruned_by_bound = 2;
+  b.rejected_condition = 1;
+  b.rejected_link_capacity = 7;
+  b.deadline_hit = true;
+
+  a += b;
+  EXPECT_EQ(a.candidates_examined, 15u);
+  EXPECT_EQ(a.plans_scored, 3u);
+  EXPECT_EQ(a.pruned_by_bound, 5u);
+  EXPECT_EQ(a.rejected_condition, 5u);
+  EXPECT_EQ(a.rejected_unroutable, 1u);
+  EXPECT_EQ(a.rejected_link_capacity, 7u);
+  EXPECT_TRUE(a.deadline_hit);
+
+  const std::string text = a.to_string();
+  EXPECT_NE(text.find("pruned 5"), std::string::npos) << text;
+  EXPECT_NE(text.find("condition=5"), std::string::npos) << text;
+  EXPECT_NE(text.find("DEADLINE HIT"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo check driver: the tier-1 build + test cycle, then a ThreadSanitizer
-# build that exercises the parallel branch-and-bound planner.
+# build that exercises the concurrent planner paths (plan_many and the lazy
+# route rows).
 #
-#   tools/check.sh            # standard build + tier-1 ctest + TSan planner test
+#   tools/check.sh            # standard build + tier-1 ctest + TSan planner tests
 #   tools/check.sh --no-tsan  # standard build + tier-1 ctest only
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # plan-cache / generic-server / runtime /
@@ -25,8 +26,8 @@
 #                             # + a TSan run of the controller tests)
 #   tools/check.sh --planner  # only: the planner suite (build + ctest -L
 #                             # planner + the planner_scaling bench smoke
-#                             # gates + a TSan run of the parallel search
-#                             # and hierarchical refinement paths)
+#                             # gates + a TSan run of plan_many and the
+#                             # lazy route rows)
 #   tools/check.sh --perf     # only: build perfbench in its own tree
 #                             # (build-perf/) and run both benchmark
 #                             # workloads for seeds 1-3 at 5 s; fails unless
@@ -122,18 +123,19 @@ if [[ "${ADAPT_ONLY}" == 1 ]]; then
 fi
 
 if [[ "${PLANNER_ONLY}" == 1 ]]; then
-  echo "== planner suite (hierarchical search + chain DP + anytime) =="
+  echo "== planner suite (hierarchical search + chain-DP oracle + anytime) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" --target \
     planner_test planner_parallel_test dp_chain_test hierarchy_test \
     planner_scaling
   (cd build && ctest --output-on-failure -L planner)
-  echo "== TSan build (parallel refinement + route-row cache) =="
+  echo "== TSan build (plan_many + route-row cache) =="
   cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-    --target planner_parallel_test hierarchy_test
+    --target planner_parallel_test hierarchy_test property_test
   ./build-tsan/tests/planner_parallel_test
   ./build-tsan/tests/hierarchy_test
+  ./build-tsan/tests/property_test
   echo "== planner suite passed =="
   exit 0
 fi
@@ -167,12 +169,13 @@ if [[ "${RUN_STRESS}" == 1 ]]; then
 fi
 
 if [[ "${RUN_TSAN}" == 1 ]]; then
-  echo "== ThreadSanitizer build (parallel planner) =="
+  echo "== ThreadSanitizer build (plan_many + route-row cache) =="
   cmake -B build-tsan -S . -DPSF_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" \
-    --target planner_parallel_test hierarchy_test
+    --target planner_parallel_test hierarchy_test property_test
   ./build-tsan/tests/planner_parallel_test
   ./build-tsan/tests/hierarchy_test
+  ./build-tsan/tests/property_test
 fi
 
 if [[ "${RUN_TIDY}" == 1 ]]; then
