@@ -9,11 +9,16 @@
 //    leg, CPU charge, handler, response leg) after a warm-up and reports
 //    allocator calls per RPC: the runtime's pooled call and transfer
 //    records should leave the steady-state path allocation-free.
+// 3. Runs the DF mail path (MailClient -> MailServer over one link) after a
+//    warm-up: alternating sends of 64-byte plaintext bodies and 16-message
+//    receives, and reports allocator calls per op. Message bodies are
+//    shared, not copied, between the request, the inbox, the sent folder,
+//    the coherence payload and each receive result.
 //
 // Counts every heap allocation in the process (alloc_counter.hpp). Writes
 // BENCH_sim_allocs.json and exits 1 unless the Simulator makes at least 10x
-// fewer allocations per event than the baseline and an echo RPC makes at
-// most 0.1 allocations.
+// fewer allocations per event than the baseline, an echo RPC makes at most
+// 0.1 allocations, and a mail op makes at most 10 (ROADMAP item 4).
 // Registered as a tier-1 ctest; takes no arguments.
 
 #include <cstdio>
@@ -25,6 +30,9 @@
 
 #include "alloc_counter.hpp"
 #include "bench_json.hpp"
+#include "mail/mail_spec.hpp"
+#include "mail/registration.hpp"
+#include "mail/types.hpp"
 #include "net/network.hpp"
 #include "runtime/smock.hpp"
 #include "sim/simulator.hpp"
@@ -224,6 +232,85 @@ double measure_rpc_allocs(std::size_t warmup, std::size_t rpcs) {
   return static_cast<double>(allocs) / static_cast<double>(rpcs);
 }
 
+// ---- mail path: DF MailClient -> MailServer --------------------------------
+
+// The hq_small_reads shape of the mail service: the client component at the
+// user's node, the home server one link away, plaintext 64-byte bodies and
+// one 16-message receive per send (self-mail, so every receive after the
+// warm-up returns a full batch). Returns allocator calls per op.
+double measure_mail_allocs(std::size_t warmup, std::size_t ops) {
+  using namespace psf;
+  sim::Simulator sim;
+  net::Network network;
+  const net::NodeId user = network.add_node("user", 1e6);
+  const net::NodeId home = network.add_node("home", 1e6);
+  network.add_link(user, home, 100e6, sim::Duration::from_micros(500));
+  runtime::SmockRuntime rt(sim, network);
+  auto config = std::make_shared<mail::MailServiceConfig>();
+  PSF_CHECK(mail::register_mail_factories(rt.factories(), config).is_ok());
+  const spec::ServiceSpec spec = mail::mail_service_spec();
+  const auto install = [&](const char* type, net::NodeId node) {
+    runtime::RuntimeInstanceId id = 0;
+    rt.install(*spec.find_component(type), node, {}, home,
+               [&id](util::Expected<runtime::RuntimeInstanceId> installed) {
+                 PSF_CHECK(installed.has_value());
+                 id = *installed;
+               });
+    sim.run();
+    PSF_CHECK(rt.start(id).is_ok());
+    return id;
+  };
+  const runtime::RuntimeInstanceId server = install("MailServer", home);
+  const runtime::RuntimeInstanceId client = install("MailClient", user);
+  PSF_CHECK(rt.wire(client, "ServerInterface", server).is_ok());
+
+  std::uint64_t next_id = 1;
+  std::size_t answered = 0;
+  std::size_t received = 0;
+  const auto one_op = [&](std::size_t i) {
+    runtime::Request request;
+    if (i % 2 == 0) {
+      auto body = std::make_shared<mail::SendBody>();
+      body->message.id = next_id++;
+      body->message.from = "u1";
+      body->message.to = "u1";
+      body->message.subject = "m" + std::to_string(body->message.id);
+      body->message.plaintext.assign(
+          64, static_cast<std::uint8_t>(body->message.id));
+      request.op = mail::ops::kSend;
+      request.wire_bytes = mail::send_wire_bytes(body->message);
+      request.body = std::move(body);
+    } else {
+      auto body = std::make_shared<mail::ReceiveBody>();
+      body->user = "u1";
+      body->max_messages = 16;
+      request.op = mail::ops::kReceive;
+      request.wire_bytes = 256;
+      request.body = std::move(body);
+    }
+    request.principal = "u1";
+    rt.invoke_from_node(user, client, std::move(request),
+                        [&answered, &received](runtime::Response response) {
+                          PSF_CHECK(response.ok);
+                          if (const auto* result =
+                                  runtime::body_as<mail::ReceiveResultBody>(
+                                      response)) {
+                            received += result->messages.size();
+                          }
+                          ++answered;
+                        });
+    sim.run();
+  };
+  for (std::size_t i = 0; i < warmup; ++i) one_op(i);
+  const std::size_t received_before = received;
+  const std::uint64_t before = heap_allocations();
+  for (std::size_t i = warmup; i < warmup + ops; ++i) one_op(i);
+  const std::uint64_t allocs = heap_allocations() - before;
+  PSF_CHECK(answered == warmup + ops);
+  PSF_CHECK(received - received_before == 16 * (ops / 2));
+  return static_cast<double>(allocs) / static_cast<double>(ops);
+}
+
 }  // namespace
 
 int main() {
@@ -238,12 +325,18 @@ int main() {
   std::printf("sim_allocs: allocs per 2-hop echo RPC %.5f (gate <= 0.1)\n",
               rpc_allocs);
 
+  const double mail_allocs = measure_mail_allocs(/*warmup=*/256,
+                                                 /*ops=*/10'000);
+  std::printf("sim_allocs: allocs per DF mail op %.3f (gate <= 10)\n",
+              mail_allocs);
+
   psf::bench::JsonResult json("sim_allocs");
   json.add("alloc_baseline_per_event", allocs.baseline_per_event);
   json.add("alloc_engine_per_event", allocs.engine_per_event);
   json.add("alloc_reduction", allocs.reduction);
   json.add("alloc_gate_passed", allocs.reduction >= 10.0);
   json.add("rpc_allocs_per_call", rpc_allocs);
+  json.add("mail_allocs_per_op", mail_allocs);
   json.write();
 
   int status = 0;
@@ -256,6 +349,12 @@ int main() {
     std::fprintf(stderr,
                  "sim_allocs: %.3f allocs per echo RPC above the 0.1 gate\n",
                  rpc_allocs);
+    status = 1;
+  }
+  if (mail_allocs > 10.0) {
+    std::fprintf(stderr,
+                 "sim_allocs: %.3f allocs per mail op above the 10 gate\n",
+                 mail_allocs);
     status = 1;
   }
   return status;

@@ -1,5 +1,7 @@
 #include "core/workload.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace psf::core {
@@ -106,9 +108,14 @@ void WorkloadClient::issue_receive() {
               runtime::body_as<mail::ReceiveResultBody>(response)) {
         stats_.messages_received += result->messages.size();
         for (const mail::MailMessage& m : result->messages) {
-          // End-to-end integrity: a decrypted body must match what we sent.
-          if (!m.plaintext.empty() &&
-              m.plaintext.front() != static_cast<std::uint8_t>(m.id)) {
+          // End-to-end integrity: a plaintext body must match what we sent,
+          // in length and in every byte. A body still sealed (read without
+          // a decrypting client) has nothing to compare.
+          if (m.sealed) continue;
+          const auto id_byte = static_cast<std::uint8_t>(m.id);
+          if (m.plaintext.size() != params_.body_bytes ||
+              std::any_of(m.plaintext.begin(), m.plaintext.end(),
+                          [id_byte](std::uint8_t b) { return b != id_byte; })) {
             ++stats_.plaintext_mismatches;
           }
         }

@@ -41,30 +41,32 @@ void MailClientComponent::handle_send(const runtime::Request& request,
   }
   ++stats_.sends;
 
-  auto outgoing = std::make_shared<SendBody>();
-  outgoing->message = body->message;
-  double crypto_units = 0.0;
-  if (outgoing->message.sensitivity > 0 && !outgoing->message.sealed) {
-    auto key = config_->keys->key(crypto::KeyRef{
-        outgoing->message.from, outgoing->message.sensitivity});
-    if (!key) {
-      done(runtime::Response::failure("sender has no key at level " +
-                                      std::to_string(
-                                          outgoing->message.sensitivity)));
-      return;
-    }
-    crypto_units = crypto::crypto_cpu_cost(outgoing->message.plaintext.size());
-    outgoing->message.sealed = crypto::seal(
-        *key, outgoing->message.id, outgoing->message.plaintext);
-    outgoing->message.key_owner = outgoing->message.from;
-    outgoing->message.plaintext.clear();
-  }
-
+  // A message that needs no sealing travels on as the caller's own body.
   runtime::Request forwarded;
   forwarded.op = ops::kSend;
-  forwarded.body = outgoing;
-  forwarded.wire_bytes = send_wire_bytes(outgoing->message);
+  forwarded.body = request.body;
+  forwarded.wire_bytes = send_wire_bytes(body->message);
   forwarded.principal = request.principal;
+  double crypto_units = 0.0;
+  if (body->message.sensitivity > 0 && !body->message.sealed) {
+    auto key = config_->keys->key(
+        crypto::KeyRef{body->message.from, body->message.sensitivity});
+    if (!key) {
+      done(runtime::Response::failure(
+          "sender has no key at level " +
+          std::to_string(body->message.sensitivity)));
+      return;
+    }
+    auto outgoing = std::make_shared<SendBody>();
+    outgoing->message = body->message;
+    crypto_units = crypto::crypto_cpu_cost(body->message.plaintext.size());
+    outgoing->message.sealed = std::make_shared<const crypto::SealedBlob>(
+        crypto::seal(*key, body->message.id, body->message.plaintext));
+    outgoing->message.key_owner = body->message.from;
+    outgoing->message.plaintext.clear();
+    forwarded.wire_bytes = send_wire_bytes(outgoing->message);
+    forwarded.body = std::move(outgoing);
+  }
 
   auto send_it = [this, forwarded = std::move(forwarded),
                   done = std::move(done)]() mutable {
@@ -96,7 +98,7 @@ void MailClientComponent::handle_receive(const runtime::Request& request,
          if (result == nullptr ||
              std::none_of(result->messages.begin(), result->messages.end(),
                           [](const MailMessage& m) {
-                            return m.sealed.has_value();
+                            return m.sealed != nullptr;
                           })) {
            // Nothing to decrypt: the server's reply is already plaintext
            // for the local user, so it goes back as is.

@@ -69,7 +69,8 @@ void MailServerComponent::handle_send(const runtime::Request& request,
     return;
   }
   ++stats_.sends;
-  apply_send(body->message, /*origin=*/0);
+  apply_send(std::static_pointer_cast<const SendBody>(request.body),
+             /*origin=*/0);
   runtime::Response response;
   response.wire_bytes = 128;  // acknowledgement
   done(std::move(response));
@@ -118,12 +119,12 @@ void MailServerComponent::handle_sync(const runtime::Request& request,
   }
   ++stats_.syncs_applied;
   for (const coherence::Update& update : batch->updates) {
-    const auto* send = dynamic_cast<const SendBody*>(update.payload.get());
+    auto send = std::dynamic_pointer_cast<const SendBody>(update.payload);
     if (send == nullptr) {
       PSF_WARN() << "MailServer: sync update with non-send payload; skipped";
       continue;
     }
-    apply_send(send->message, batch->replica_id);
+    apply_send(std::move(send), batch->replica_id);
     ++stats_.sync_updates_applied;
   }
   runtime::Response response;
@@ -148,8 +149,9 @@ void MailServerComponent::handle_register_replica(
   done(std::move(response));
 }
 
-void MailServerComponent::apply_send(const MailMessage& message,
+void MailServerComponent::apply_send(std::shared_ptr<const SendBody> send,
                                      runtime::RuntimeInstanceId origin) {
+  const MailMessage& message = send->message;
   Account& recipient = ensure_account(message.to);
   recipient.inbox.messages.push_back(message);
   auto sender = accounts_.find(message.from);
@@ -160,9 +162,7 @@ void MailServerComponent::apply_send(const MailMessage& message,
   update.descriptor.object_key = message.to;
   update.descriptor.field = "inbox";
   update.descriptor.bytes = send_wire_bytes(message);
-  auto payload = std::make_shared<SendBody>();
-  payload->message = message;
-  update.payload = std::move(payload);
+  update.payload = std::move(send);
   directory_->on_update(update, origin);
 }
 
@@ -208,8 +208,9 @@ double MailServerComponent::reencrypt_for(MailMessage& message,
     return 0.0;
   }
   const double cost = 2.0 * crypto::crypto_cpu_cost(plain.size());
-  message.sealed = crypto::seal(*recipient_key, message.id ^ 0x5EA1ED,
-                                plain);
+  // A new blob: the stored copy keeps sharing the sender-sealed one.
+  message.sealed = std::make_shared<const crypto::SealedBlob>(
+      crypto::seal(*recipient_key, message.id ^ 0x5EA1ED, plain));
   message.key_owner = recipient;
   ++stats_.reencryptions;
   return cost;

@@ -49,8 +49,10 @@ class MailServerComponent : public runtime::Component {
                                runtime::ResponseCallback done);
 
   // Stores the message (recipient inbox + sender's sent folder) and notifies
-  // the directory. `origin` is the replica a sync came from (0 = direct).
-  void apply_send(const MailMessage& message,
+  // the directory, whose coherence payload is `send` itself (the incoming
+  // request's or sync update's body). `origin` is the replica a sync came
+  // from (0 = direct).
+  void apply_send(std::shared_ptr<const SendBody> send,
                   runtime::RuntimeInstanceId origin);
 
   Account& ensure_account(const std::string& user);

@@ -5,13 +5,14 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "crypto/cipher.hpp"
 #include "runtime/message.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace psf::mail {
 
@@ -43,8 +44,13 @@ struct MailMessage {
   // sensitivity); the service re-seals from sender key to recipient key on
   // delivery (paper §2: "transforms these messages to those encrypted to the
   // recipient's sensitivity upon a receive").
-  std::vector<std::uint8_t> plaintext;
-  std::optional<crypto::SealedBlob> sealed;
+  //
+  // Both are immutable and shared: copying a message (into an inbox, a
+  // view cache, a coherence payload or a receive result) shares the body.
+  // Sealing and re-encryption install a new blob; they never write through
+  // the pointer (DESIGN.md §8c).
+  util::SharedBytes plaintext;
+  std::shared_ptr<const crypto::SealedBlob> sealed;
   std::string key_owner;  // whose key sealed it (sender until re-encryption)
 
   std::uint64_t body_bytes() const {

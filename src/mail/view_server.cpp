@@ -179,7 +179,8 @@ void ViewMailServerComponent::handle_send(const runtime::Request& request,
     return;
   }
   ++stats_.sends_local;
-  apply_send_locally(body->message, /*queue_coherence=*/true);
+  apply_send_locally(std::static_pointer_cast<const SendBody>(request.body),
+                     /*queue_coherence=*/true);
   runtime::Response response;
   response.wire_bytes = 128;
   done(std::move(response));
@@ -233,10 +234,10 @@ void ViewMailServerComponent::handle_push(const runtime::Request& request,
     return;
   }
   for (const coherence::Update& update : batch->updates) {
-    const auto* send = dynamic_cast<const SendBody*>(update.payload.get());
+    auto send = std::dynamic_pointer_cast<const SendBody>(update.payload);
     if (send == nullptr) continue;
     if (send->message.sensitivity > trust_level_) continue;  // never cache
-    apply_send_locally(send->message, /*queue_coherence=*/false);
+    apply_send_locally(std::move(send), /*queue_coherence=*/false);
     ++stats_.pushes_applied;
   }
   runtime::Response response;
@@ -256,10 +257,10 @@ void ViewMailServerComponent::handle_sync(const runtime::Request& request,
   }
   ++stats_.syncs_relayed;
   for (const coherence::Update& update : batch->updates) {
-    const auto* send = dynamic_cast<const SendBody*>(update.payload.get());
+    auto send = std::dynamic_pointer_cast<const SendBody>(update.payload);
     if (send == nullptr) continue;
     if (send->message.sensitivity <= trust_level_) {
-      apply_send_locally(send->message, /*queue_coherence=*/true);
+      apply_send_locally(std::move(send), /*queue_coherence=*/true);
     } else {
       // Not storable here; relay the raw update upstream.
       replica_->record_update(update.descriptor, update.payload);
@@ -276,8 +277,9 @@ void ViewMailServerComponent::forward(const runtime::Request& request,
   call("ServerInterface", request, std::move(done));
 }
 
-void ViewMailServerComponent::apply_send_locally(const MailMessage& message,
-                                                 bool queue_coherence) {
+void ViewMailServerComponent::apply_send_locally(
+    std::shared_ptr<const SendBody> send, bool queue_coherence) {
+  const MailMessage& message = send->message;
   Account& account = cache_[message.to];
   if (account.user.empty()) account.user = message.to;
   account.inbox.messages.push_back(message);
@@ -287,9 +289,7 @@ void ViewMailServerComponent::apply_send_locally(const MailMessage& message,
     descriptor.object_key = message.to;
     descriptor.field = "inbox";
     descriptor.bytes = send_wire_bytes(message);
-    auto payload = std::make_shared<SendBody>();
-    payload->message = message;
-    replica_->record_update(std::move(descriptor), std::move(payload));
+    replica_->record_update(std::move(descriptor), std::move(send));
   }
 }
 
@@ -310,7 +310,9 @@ double ViewMailServerComponent::reencrypt_for(MailMessage& message,
     return 0.0;
   }
   const double cost = 2.0 * crypto::crypto_cpu_cost(plain.size());
-  message.sealed = crypto::seal(*recipient_key, message.id ^ 0x5EA1ED, plain);
+  // A new blob: the cached copy keeps sharing the sender-sealed one.
+  message.sealed = std::make_shared<const crypto::SealedBlob>(
+      crypto::seal(*recipient_key, message.id ^ 0x5EA1ED, plain));
   message.key_owner = recipient;
   return cost;
 }

@@ -87,7 +87,10 @@ class ViewMailServerComponent : public runtime::Component {
                    runtime::ResponseCallback done);
   void forward(const runtime::Request& request, runtime::ResponseCallback done);
 
-  void apply_send_locally(const MailMessage& message, bool queue_coherence);
+  // Caches the message; with `queue_coherence` the replica's write-back
+  // queue carries `send` itself as the update payload.
+  void apply_send_locally(std::shared_ptr<const SendBody> send,
+                          bool queue_coherence);
 
   double reencrypt_for(MailMessage& message, const std::string& recipient);
 

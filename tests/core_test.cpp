@@ -186,7 +186,7 @@ TEST_F(WorkloadFixture, HighSensitivitySendsAreSealedEndToEnd) {
   ASSERT_NE(account, nullptr);
   std::size_t sealed = 0;
   for (const auto& m : account->inbox.messages) {
-    if (m.sealed.has_value()) ++sealed;
+    if (m.sealed != nullptr) ++sealed;
   }
   EXPECT_EQ(sealed, 10u);  // every send had sensitivity > 0 (2 or 5)
 }

@@ -155,7 +155,7 @@ TEST_F(MailFixture, FullClientServerEncryptionRoundTrip) {
   ASSERT_EQ(server_comp->inbox_size("bob"), 1u);
   // Stored sealed, not in plaintext.
   const Account* bob = server_comp->find_account("bob");
-  ASSERT_TRUE(bob->inbox.messages[0].sealed.has_value());
+  ASSERT_NE(bob->inbox.messages[0].sealed, nullptr);
   EXPECT_TRUE(bob->inbox.messages[0].plaintext.empty());
 
   auto recv = invoke(edge, client, receive_request("bob"));
@@ -341,8 +341,9 @@ TEST_F(MailFixture, ServerReencryptsForRecipient) {
   body->message.sensitivity = 4;
   const std::string text = "for bob only";
   const auto key = config->keys->key({"alice", 4}).value();
-  body->message.sealed = crypto::seal(
-      key, 9, std::vector<std::uint8_t>(text.begin(), text.end()));
+  body->message.sealed =
+      std::make_shared<const crypto::SealedBlob>(crypto::seal(
+          key, 9, std::vector<std::uint8_t>(text.begin(), text.end())));
   body->message.key_owner = "alice";
   runtime::Request request;
   request.op = ops::kSend;
@@ -356,7 +357,7 @@ TEST_F(MailFixture, ServerReencryptsForRecipient) {
   ASSERT_EQ(result->messages.size(), 1u);
   const MailMessage& m = result->messages[0];
   EXPECT_EQ(m.key_owner, "bob");  // re-sealed under the recipient's key
-  ASSERT_TRUE(m.sealed.has_value());
+  ASSERT_NE(m.sealed, nullptr);
   std::vector<std::uint8_t> plain;
   ASSERT_TRUE(crypto::unseal(config->keys->key({"bob", 4}).value(), *m.sealed,
                              plain));
@@ -365,6 +366,19 @@ TEST_F(MailFixture, ServerReencryptsForRecipient) {
   auto* comp = dynamic_cast<MailServerComponent*>(
       runtime.instance(server).component.get());
   EXPECT_EQ(comp->mail_stats().reencryptions, 1u);
+
+  // Re-encryption replaced the result's blob; it did not write through to
+  // the stored copy, which still shares the sender-sealed body.
+  const Account* bob = comp->find_account("bob");
+  ASSERT_EQ(bob->inbox.messages.size(), 1u);
+  const MailMessage& stored = bob->inbox.messages[0];
+  EXPECT_EQ(stored.key_owner, "alice");
+  ASSERT_NE(stored.sealed, nullptr);
+  EXPECT_NE(stored.sealed, m.sealed);
+  EXPECT_EQ(stored.sealed, body->message.sealed);
+  std::vector<std::uint8_t> stored_plain;
+  ASSERT_TRUE(crypto::unseal(key, *stored.sealed, stored_plain));
+  EXPECT_EQ(std::string(stored_plain.begin(), stored_plain.end()), text);
 }
 
 TEST_F(MailFixture, HierarchicalViewChainRelaysSyncs) {

@@ -527,45 +527,165 @@ TEST(PlannerTest, MinCostObjectivePrefersFewerComponents) {
             cost_plan->metrics.expected_latency_s);
 }
 
+// Four nodes where the three objectives disagree. The client sits at
+// "edge"; the origin is 300 ms away over a thin direct link. A cache view
+// fits on "near" (1 ms from the client, but a small CPU the view half
+// fills) or on "big" (20 ms away, a large CPU).
+//  - min-deployment-cost connects directly: no view to ship or start;
+//  - min-latency caches at "near";
+//  - max-capacity caches at "big": the direct plan loads the thin link to
+//    82% and the "near" view loads its node to 50%.
+struct TradeOffWorld {
+  net::Network network;
+  net::NodeId edge, near, big, origin;
+  spec::ServiceSpec spec;
+  CredentialMapTranslator translator = standard_translator();
+  std::unique_ptr<EnvironmentView> env;
+  std::unique_ptr<Planner> planner;
+
+  TradeOffWorld() {
+    const auto trust = [](std::int64_t level) {
+      net::Credentials creds;
+      creds.set("trust", level);
+      return creds;
+    };
+    edge = network.add_node("edge", 1e6, trust(2));
+    near = network.add_node("near", 2e4, trust(3));
+    big = network.add_node("big", 1e6, trust(3));
+    origin = network.add_node("origin", 1e6, trust(5));
+    const auto ms = sim::Duration::from_millis;
+    network.add_link(edge, near, 100e6, ms(1));
+    network.add_link(edge, big, 100e6, ms(20));
+    network.add_link(edge, origin, 2e6, ms(300));
+    network.add_link(near, origin, 10e6, ms(300));
+    network.add_link(big, origin, 10e6, ms(300));
+
+    spec = spec::SpecBuilder("TradeOff")
+               .interval_property("TrustLevel", 1, 5)
+               .interface("Api", {"TrustLevel"})
+               .interface("Entry", {"TrustLevel"})
+               .component("Client")
+               .implements("Entry", {})
+               .requires_iface("Api", {})
+               .cpu_per_request(10)
+               .done()
+               .component("Origin")
+               .implements("Api", {{"TrustLevel", spec::lit_int(5)}})
+               .condition_ge("TrustLevel", PropertyValue::integer(5))
+               .cpu_per_request(50)
+               .done()
+               .data_view("CacheView", "Origin")
+               .implements("Api", {{"TrustLevel", spec::lit_int(3)}})
+               .requires_iface("Api", {})
+               .condition_ge("TrustLevel", PropertyValue::integer(3))
+               .rrf(0.1)
+               .cpu_per_request(100)
+               .done()
+               .build();
+    env = std::make_unique<EnvironmentView>(network, translator);
+    planner = std::make_unique<Planner>(spec, *env);
+  }
+
+  PlanRequest request(Objective objective) const {
+    PlanRequest req;
+    req.interface_name = "Entry";
+    req.client_node = edge;
+    req.code_origin = origin;
+    req.request_rate_rps = 100.0;
+    req.objective = objective;
+    return req;
+  }
+
+  // The node hosting the cache view, or an invalid id for a direct plan.
+  static net::NodeId view_node(const planner::DeploymentPlan& plan) {
+    for (const planner::Placement& p : plan.placements) {
+      if (p.component->name == "CacheView") return p.node;
+    }
+    return net::NodeId{};
+  }
+};
+
+TEST(PlannerTest, EachObjectiveChoosesItsOwnPlan) {
+  TradeOffWorld world;
+  auto latency = world.planner->plan(world.request(Objective::kMinLatency));
+  auto cost =
+      world.planner->plan(world.request(Objective::kMinDeploymentCost));
+  auto capacity = world.planner->plan(world.request(Objective::kMaxCapacity));
+  ASSERT_TRUE(latency.has_value()) << latency.status().to_string();
+  ASSERT_TRUE(cost.has_value()) << cost.status().to_string();
+  ASSERT_TRUE(capacity.has_value()) << capacity.status().to_string();
+
+  EXPECT_EQ(TradeOffWorld::view_node(*latency), world.near);
+  ASSERT_EQ(cost->placements.size(), 2u);
+  EXPECT_FALSE(TradeOffWorld::view_node(*cost).valid());
+  EXPECT_EQ(TradeOffWorld::view_node(*capacity), world.big);
+
+  // Each plan is strictly best on its own objective's metric.
+  EXPECT_LT(latency->metrics.expected_latency_s,
+            capacity->metrics.expected_latency_s);
+  EXPECT_LT(capacity->metrics.expected_latency_s,
+            cost->metrics.expected_latency_s);
+  EXPECT_LT(cost->metrics.new_components, latency->metrics.new_components);
+  EXPECT_LT(cost->metrics.deployment_cost_s,
+            latency->metrics.deployment_cost_s);
+  EXPECT_GT(capacity->metrics.min_headroom, latency->metrics.min_headroom);
+  EXPECT_GT(latency->metrics.min_headroom, cost->metrics.min_headroom);
+}
+
 // ---- Bound pruning on the mail service over Waxman topologies -------------
 
 using test::expect_same_plan;
 using test::WaxmanWorld;
 
+// Plans `request` with and without bound pruning and checks both searches
+// return the same plan, the pruned one examining no more candidates.
+void expect_pruning_keeps_plan(
+    const Planner& planner, PlanRequest request,
+    const std::vector<planner::ExistingInstance>& existing,
+    const std::string& label) {
+  request.bound_pruning = true;
+  planner::SearchStats pruned_stats, exhaustive_stats;
+  auto a = planner.plan(request, existing, &pruned_stats);
+  request.bound_pruning = false;
+  auto b = planner.plan(request, existing, &exhaustive_stats);
+
+  ASSERT_EQ(a.has_value(), b.has_value()) << label;
+  if (!a.has_value()) return;
+  expect_same_plan(*a, *b, label);
+  EXPECT_EQ(exhaustive_stats.pruned_by_bound, 0u) << label;
+  // Pruning must make the search cheaper, never costlier.
+  EXPECT_LE(pruned_stats.candidates_examined,
+            exhaustive_stats.candidates_examined)
+      << label;
+}
+
 TEST(PlannerBoundTest, BoundPruningDoesNotChangeThePlan) {
+  constexpr Objective kObjectives[] = {Objective::kMinLatency,
+                                       Objective::kMinDeploymentCost,
+                                       Objective::kMaxCapacity};
   struct Case {
     std::size_t nodes;
     std::uint64_t seed;
   };
   for (const Case c : {Case{10, 2026}, Case{10, 7}, Case{12, 2026}}) {
     WaxmanWorld world(c.nodes, c.seed);
-    for (Objective objective :
-         {Objective::kMinLatency, Objective::kMinDeploymentCost,
-          Objective::kMaxCapacity}) {
-      PlanRequest pruned = world.request(objective);
-      pruned.bound_pruning = true;
-
-      PlanRequest exhaustive = world.request(objective);
-      exhaustive.bound_pruning = false;
-
-      planner::SearchStats pruned_stats, exhaustive_stats;
-      auto a = world.planner->plan(pruned, world.existing, &pruned_stats);
-      auto b =
-          world.planner->plan(exhaustive, world.existing, &exhaustive_stats);
-
-      const std::string label = "nodes=" + std::to_string(c.nodes) +
-                                " seed=" + std::to_string(c.seed) +
-                                " objective=" +
-                                planner::objective_name(objective);
-      ASSERT_EQ(a.has_value(), b.has_value()) << label;
-      if (!a.has_value()) continue;
-      expect_same_plan(*a, *b, label);
-      EXPECT_EQ(exhaustive_stats.pruned_by_bound, 0u) << label;
-      // Pruning must make the search cheaper, never costlier.
-      EXPECT_LE(pruned_stats.candidates_examined,
-                exhaustive_stats.candidates_examined)
-          << label;
+    for (Objective objective : kObjectives) {
+      expect_pruning_keeps_plan(*world.planner, world.request(objective),
+                                world.existing,
+                                "nodes=" + std::to_string(c.nodes) +
+                                    " seed=" + std::to_string(c.seed) +
+                                    " objective=" +
+                                    planner::objective_name(objective));
     }
+  }
+  // The Waxman worlds' objectives agree on one plan; here each objective
+  // has its own, so a bound that ignored the objective would show.
+  TradeOffWorld trade_off;
+  for (Objective objective : kObjectives) {
+    expect_pruning_keeps_plan(
+        *trade_off.planner, trade_off.request(objective), {},
+        std::string("trade-off objective=") +
+            planner::objective_name(objective));
   }
 }
 

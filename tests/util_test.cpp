@@ -3,11 +3,13 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/shared_bytes.hpp"
 #include "util/small_fn.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
@@ -328,6 +330,71 @@ TEST(SmallFnTest, EverySignatureSharesOneCounterBlock) {
   EXPECT_EQ(SmallFn::constructed_count(), 2u);
   SmallFunction<void(const std::string&)>::reset_counters();
   EXPECT_EQ(SmallFn::constructed_count(), 0u);
+}
+
+// ---- SharedBytes -----------------------------------------------------------
+
+TEST(SharedBytesTest, CopySharesTheBuffer) {
+  SharedBytes original;
+  original.assign(64, 0xAB);
+  const SharedBytes copy(original);
+  EXPECT_EQ(copy.data(), original.data());
+  EXPECT_EQ(copy.size(), 64u);
+  EXPECT_EQ(copy.front(), 0xAB);
+  EXPECT_EQ(copy[63], 0xAB);
+}
+
+TEST(SharedBytesTest, AssignAndClearRebindOnlyThisCopy) {
+  const std::string text = "shared body";
+  SharedBytes a;
+  a.assign(text.begin(), text.end());
+  SharedBytes b = a;
+  const std::uint8_t* shared = a.data();
+
+  b.assign(3, 'z');
+  EXPECT_NE(b.data(), shared);
+  EXPECT_EQ(std::string(b.begin(), b.end()), "zzz");
+  EXPECT_EQ(a.data(), shared);
+  EXPECT_EQ(std::string(a.begin(), a.end()), text);
+
+  SharedBytes c = a;
+  c.clear();
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.begin(), c.end());
+  EXPECT_EQ(std::string(a.begin(), a.end()), text);
+
+  // Assigning a copy's own bytes back to it keeps them alive for the copy.
+  a.assign(a.begin() + 7, a.end());
+  EXPECT_EQ(std::string(a.begin(), a.end()), "body");
+  EXPECT_EQ(std::string(c.begin(), c.end()), "");
+}
+
+TEST(SharedBytesTest, EmptyInitializerListAndAdoptedVector) {
+  const SharedBytes empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.begin(), empty.end());
+  SharedBytes none;
+  none.assign(0, 'x');
+  EXPECT_TRUE(none.empty());
+
+  SharedBytes listed = {'h', 'i'};
+  EXPECT_EQ(std::string(listed.begin(), listed.end()), "hi");
+  listed = {'o', 'k', '!'};
+  EXPECT_EQ(listed.size(), 3u);
+  EXPECT_EQ(listed[2], '!');
+
+  // Adopting a vector keeps its buffer: no byte is copied.
+  std::vector<std::uint8_t> decrypted{1, 2, 3, 4};
+  const std::uint8_t* buffer = decrypted.data();
+  SharedBytes adopted;
+  adopted = std::move(decrypted);
+  EXPECT_EQ(adopted.data(), buffer);
+  EXPECT_EQ(std::vector<std::uint8_t>(adopted.begin(), adopted.end()),
+            (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  const std::span<const std::uint8_t> view(adopted);
+  EXPECT_EQ(view.data(), buffer);
+  EXPECT_EQ(view.size(), 4u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #   tools/check.sh --asan     # also: AddressSanitizer build running the
 #                             # plan-cache / generic-server / runtime /
 #                             # mail / coherence-pipeline / adaptation-
-#                             # controller suites
+#                             # controller / util / core / scenario suites
 #   tools/check.sh --stress   # also: long-running suites (ctest -L stress)
 #   tools/check.sh --coherence # only: the coherence smoke suite
 #                             # (build + ctest -L coherence, via the
@@ -201,11 +201,13 @@ fi
 
 if [[ "${RUN_ASAN}" == 1 ]]; then
   # The runtime's pooled call/transfer records are raw-pointer lifetimes;
-  # the runtime, mail, coherence and adaptation suites drive them.
+  # the runtime, mail, coherence and adaptation suites drive them. Mail
+  # bodies are shared buffers (DESIGN.md §8c); the util, core and scenario
+  # suites drive those too.
   echo "== AddressSanitizer build (plan cache, generic server, runtime) =="
   ASAN_TESTS=(plan_cache_test generic_test telemetry_test runtime_test
               mail_test mail_edge_test coherence_pipeline_test
-              adaptation_controller_test)
+              adaptation_controller_test util_test core_test scenario_test)
   cmake -B build-asan -S . -DPSF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
